@@ -25,7 +25,6 @@ from .density import (
     DensityPair,
     SigmaTriple,
     ZeroVerdict,
-    cm_threads,
     density_formula,
     density_oracle,
     is_zero_pair,
@@ -46,7 +45,6 @@ from .gaussian import (
     TwoSquares,
     gi_divmod,
     gi_gcd,
-    gi_mul,
     is_primary,
     make_primary,
     primary_prime_above,
@@ -54,7 +52,8 @@ from .gaussian import (
     two_squares,
 )
 from .hardy_littlewood import HLPoly, hl_admissible, hl_count, hl_delta
-from .lab import SweepReport, is_prime_u64, lt_predict, report_emit, sweep
+from .lab import SweepReport, lt_predict, report_emit, sweep
+from .primes import is_prime_u64
 from .residue_symbols import (
     FourClass,
     QuarticValue,
@@ -95,7 +94,6 @@ __all__ = [
     "factorize",
     "gi_divmod",
     "gi_gcd",
-    "gi_mul",
     "hl_admissible",
     "hl_count",
     "hl_delta",
@@ -125,3 +123,8 @@ __all__ = [
     "two_quartic_class",
     "two_squares",
 ]
+
+
+def cm_threads() -> int:
+    """Worker count of the drivers: 1, since every driver runs serially."""
+    return 1

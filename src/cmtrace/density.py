@@ -16,8 +16,6 @@ orientation.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -34,7 +32,7 @@ from .arith import (
     v2,
 )
 from .errors import NoRepresentativeFound, PreconditionError
-from .frobenius import ap_fast
+from .frobenius import _ap_kernel
 from .gaussian import GaussianInt, two_squares
 from .hardy_littlewood import HLPoly, hl_delta
 from .primes import is_prime_u64
@@ -50,7 +48,6 @@ __all__ = [
     "sigma_sums",
     "is_zero_pair",
     "lt_constant",
-    "cm_threads",
 ]
 
 
@@ -117,20 +114,6 @@ class ZeroVerdict:
     plus_zero: bool
     minus_zero: bool
     table_row: str | None
-
-
-def cm_threads() -> int:
-    """Worker count for the oracle and sweeps; CM_THREADS overrides."""
-    raw = os.environ.get("CM_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError:
-            raise PreconditionError(f"CM_THREADS is not an integer: {raw!r}") from None
-        if n < 1:
-            raise PreconditionError(f"CM_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +240,10 @@ def _find_representative(D_abs: int, r: int, k: int, x_max: int) -> int:
     raise NoRepresentativeFound(D_abs, r, k, x_max)
 
 
-def _classify_class(args: tuple[int, int, int, int]) -> tuple[int, int]:
-    D0, r, k, x_max = args
+def _classify_class(D0: int, r: int, k: int, x_max: int) -> int:
+    # progression primes are odd and coprime to D: good reduction, no check
     p = _find_representative(abs(D0), r, k, x_max)
-    return k, ap_fast(D0, p)
+    return _ap_kernel(D0, p)
 
 
 def density_oracle(
@@ -277,17 +260,10 @@ def density_oracle(
         raise PreconditionError("density_oracle wants nonzero D and r")
     D0 = reduce_quartic_twist(D)
     ps = progression_set(D0, r)
-    jobs = [(D0, r, k, x_max) for k in ps.ks]
-    workers = cm_threads()
-    if workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_classify_class, jobs))
-    else:
-        results = [_classify_class(j) for j in jobs]
-    assert [k for k, _ in results] == list(ps.ks)  # deterministic order
     plus = minus = 0
     xa = xma = xb = xmb = 0
-    for _, a in results:
+    for k in ps.ks:
+        a = _classify_class(D0, r, k, x_max)
         if a == 2 * r:
             plus += 1
         elif a == -2 * r:

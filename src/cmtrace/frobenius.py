@@ -120,41 +120,6 @@ def ap_binomial_residue(p: int, cap: int = NAIVE_CAP) -> int:
     return c
 
 
-@functools.cache
-def _beta_sign() -> int:
-    """Calibrate the sign convention tying the ±beta classes to actual traces.
-
-    Reference curve D = 3 (first odd D with imaginary quartic classes).
-    Walk the first 50 primes p ≡ 1 (mod 4) landing in a ±beta class, compare
-    ap_naive against ±2*beta, and bucket the observed sign by
-    (p mod 8, beta mod 8). Every cell must agree on one constant s; anything
-    else means the class-to-trace dictionary is broken, so assert hard.
-    """
-    cells: dict[tuple[int, int], int] = {}
-    seen = 0
-    p = 1
-    while seen < 50:
-        p += 4
-        if not is_prime_u64(p) or p % 3 == 0:
-            continue
-        ts = two_squares(p)
-        cls = quartic_class_of(3, p, ts)
-        if cls not in (FourClass.PLUS_BETA, FourClass.MINUS_BETA):
-            continue
-        a = ap_naive(3, p)
-        want = 2 * ts.beta if cls is FourClass.PLUS_BETA else -2 * ts.beta
-        assert abs(a) == 2 * ts.beta, (p, a, ts)
-        s = 1 if a == want else -1
-        key = (p % 8, ts.beta % 8)
-        if key in cells:
-            assert cells[key] == s, f"beta-sign flips within cell {key}"
-        cells[key] = s
-        seen += 1
-    values = set(cells.values())
-    assert len(values) == 1, f"beta-sign differs across cells: {cells}"
-    return values.pop()
-
-
 def ap_fast(D, p: int, ts: TwoSquares | None = None) -> int:
     """a_p via the quartic class of D, O(log p) after the two-squares split.
 
@@ -165,6 +130,11 @@ def ap_fast(D, p: int, ts: TwoSquares | None = None) -> int:
     _check_good_reduction(D, p)
     if p < 3 or not is_prime_u64(p):
         raise PreconditionError(f"ap_fast wants an odd prime, got {p}")
+    return _ap_kernel(D, p, ts)
+
+
+def _ap_kernel(D: int, p: int, ts: TwoSquares | None = None) -> int:
+    """ap_fast without its checks: p must be an odd prime not dividing D."""
     if p % 4 == 3:
         return 0
     if ts is None:
@@ -174,5 +144,4 @@ def ap_fast(D, p: int, ts: TwoSquares | None = None) -> int:
         return 2 * ts.alpha
     if cls is FourClass.MINUS_ALPHA:
         return -2 * ts.alpha
-    s = _beta_sign()
-    return 2 * s * ts.beta if cls is FourClass.PLUS_BETA else -2 * s * ts.beta
+    return 2 * ts.beta if cls is FourClass.PLUS_BETA else -2 * ts.beta

@@ -13,6 +13,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import PreconditionError
+from .primes import is_prime_u64
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,10 +64,6 @@ GI_ONE = GaussianInt(1, 0)
 GI_I = GaussianInt(0, 1)
 
 _UNITS = (GI_ONE, GI_I, GaussianInt(-1, 0), GaussianInt(0, -1))
-
-
-def gi_mul(a: GaussianInt, b: GaussianInt) -> GaussianInt:
-    return a * b
 
 
 def _round_half_down(x: int, n: int) -> int:
@@ -182,8 +179,9 @@ def sqrt_minus_one(p: int) -> int:
     g = 2
     while pow(g, e, p) != p - 1:
         g += 1
-        if g > 100 and g * g > p:  # way past any plausible least nonresidue
-            raise PreconditionError(f"sqrt_minus_one: {p} does not look prime")
+        if g == 100 and not is_prime_u64(p):
+            # a prime's least nonresidue is small; a composite may have none
+            raise PreconditionError(f"sqrt_minus_one: {p} is not prime")
     z = pow(g, (p - 1) // 4, p)
     assert z * z % p == p - 1
     return min(z, p - z)

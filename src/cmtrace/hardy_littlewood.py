@@ -95,6 +95,8 @@ def hl_delta(f, prime_bound: int = 1_000_000) -> float:
 def hl_count(f, n: int) -> int:
     """Number of distinct primes <= n of the form f(x), x >= 0 an integer."""
     f = _as_poly(f)
+    if f.a <= 0:
+        raise PreconditionError(f"hl_count wants a > 0, got {f}")
     if n < 0:
         raise PreconditionError(f"hl_count wants n >= 0, got {n}")
     found: set[int] = set()

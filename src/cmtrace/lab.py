@@ -8,7 +8,6 @@ carries everything needed to eyeball (or assert) agreement.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import json
@@ -17,9 +16,9 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import isqrt, log, sqrt
 
-from .density import DensityPair, cm_threads, density_formula, lt_constant
+from .density import DensityPair, density_formula, lt_constant
 from .errors import PreconditionError
-from .frobenius import ap_fast
+from .frobenius import _ap_kernel
 from .primes import is_prime_u64
 
 __all__ = [
@@ -27,14 +26,9 @@ __all__ = [
     "sweep",
     "lt_predict",
     "report_emit",
-    "is_prime_u64",
-    "cm_threads",
 ]
 
 _U64_MAX = (1 << 64) - 1
-
-# y-values per work unit; big enough to amortize, small enough to interleave
-_CHUNK = 4096
 
 
 def _sig6(x: float) -> float:
@@ -66,7 +60,7 @@ def lt_predict(D: int, r: int, N: int, prime_bound: int = 1_000_000) -> float:
     return lt_constant(D, r, prime_bound) * sqrt(N) / log(N)
 
 
-def _scan_chunk(D: int, r: int, ys: range) -> tuple[int, int, int, int]:
+def _scan(D: int, r: int, ys: range) -> tuple[int, int, int, int]:
     r2 = r * r
     n_primes = n_plus = n_minus = n_other = 0
     twoD = 2 * abs(D)
@@ -77,7 +71,7 @@ def _scan_chunk(D: int, r: int, ys: range) -> tuple[int, int, int, int]:
             continue
         if twoD % p == 0:
             continue  # bad reduction for the caller's curve
-        a = ap_fast(D, p)
+        a = _ap_kernel(D, p)
         n_primes += 1
         if a == target:
             n_plus += 1
@@ -92,9 +86,7 @@ def sweep(D: int, r: int, N: int) -> SweepReport:
     """Exhaustive classification of primes p = r^2 + y^2 <= N.
 
     y runs over the parity opposite to r (no other y can make p prime or
-    even odd). Primes dividing 2D are excluded from every tally. The split
-    into fixed-size chunks merged in order makes the report identical for
-    any CM_THREADS value.
+    even odd). Primes dividing 2D are excluded from every tally.
     """
     if D == 0 or r == 0:
         raise PreconditionError("sweep wants nonzero D and r")
@@ -105,21 +97,7 @@ def sweep(D: int, r: int, N: int) -> SweepReport:
     t0 = time.perf_counter()
     y_max = isqrt(N - r * r)
     y0 = 2 if r % 2 else 1
-    chunks = [
-        range(lo, min(lo + _CHUNK, y_max + 1), 2)
-        for lo in range(y0, y_max + 1, _CHUNK)
-    ]
-    # _CHUNK is even, so each chunk keeps the y-parity of y0
-    workers = cm_threads()
-    if workers > 1 and len(chunks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda c: _scan_chunk(D, r, c), chunks))
-    else:
-        parts = [_scan_chunk(D, r, c) for c in chunks]
-    n_primes = sum(p[0] for p in parts)
-    n_plus = sum(p[1] for p in parts)
-    n_minus = sum(p[2] for p in parts)
-    n_other = sum(p[3] for p in parts)
+    n_primes, n_plus, n_minus, n_other = _scan(D, r, range(y0, y_max + 1, 2))
     predicted = density_formula(D, r)
     elapsed = time.perf_counter() - t0
     return SweepReport(

@@ -44,6 +44,28 @@ def test_density_both(capsys):
     assert "(total 42)" in out
 
 
+def test_ap_disagreement_exits_1(capsys, monkeypatch):
+    # an explicit check, so it holds under python -O too
+    monkeypatch.setattr("cmtrace.cli.ap_naive", lambda D, p: 6)
+    code, out, err = run(capsys, "ap", "--D", "2", "--p", "13")
+    assert code == 1
+    assert "match: False" in out
+    assert err.startswith("error: ")
+
+
+def test_density_disagreement_exits_1(capsys, monkeypatch):
+    from fractions import Fraction
+
+    from cmtrace.density import ClassCounts, DensityPair
+
+    wrong = (DensityPair(Fraction(1, 2), Fraction(0)), ClassCounts(21, 21, 0, 0))
+    monkeypatch.setattr("cmtrace.cli.density_oracle", lambda D, r, x_max: wrong)
+    code, out, err = run(capsys, "density", "--D", "-21", "--r", "1")
+    assert code == 1
+    assert "agree: False" in out
+    assert err.startswith("error: ")
+
+
 def test_density_formula_only(capsys):
     code, out, _ = run(capsys, "density", "--D", "5", "--r", "3", "--mode", "formula")
     assert code == 0

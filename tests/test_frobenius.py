@@ -7,13 +7,13 @@ from cmtrace.errors import PreconditionError
 from cmtrace.frobenius import (
     NAIVE_CAP,
     CurveD,
-    _beta_sign,
     ap_binomial_residue,
     ap_fast,
     ap_naive,
     reduce_quartic_twist,
 )
 from cmtrace.gaussian import two_squares
+from cmtrace.residue_symbols import FourClass, quartic_class_of
 from oracles import brute_ap, trial_is_prime
 
 PRIMES_1K = [p for p in range(3, 1000) if trial_is_prime(p)]
@@ -92,9 +92,24 @@ def test_ap_fast_examples():
 
 
 def test_beta_sign_calibration():
-    # the empirically calibrated constant; a change here means the
-    # class-to-trace dictionary moved and every density is suspect
-    assert _beta_sign() == 1
+    # the ±beta classes give ±2*beta with no extra sign; a failure here means
+    # the class-to-trace dictionary moved and every density is suspect.
+    # Reference curve D = 3, the first odd D with ±beta classes: the first
+    # 50 primes landing in a ±beta class, against the point count.
+    seen = 0
+    p = 1
+    while seen < 50:
+        p += 4
+        if not trial_is_prime(p) or p % 3 == 0:
+            continue
+        ts = two_squares(p)
+        cls = quartic_class_of(3, p, ts)
+        if cls not in (FourClass.PLUS_BETA, FourClass.MINUS_BETA):
+            continue
+        want = 2 * ts.beta if cls is FourClass.PLUS_BETA else -2 * ts.beta
+        assert ap_naive(3, p) == want, (p, cls, ts)
+        assert ap_fast(3, p) == want, (p, cls, ts)
+        seen += 1
 
 
 def test_ap_fast_vs_naive_battery():

@@ -8,7 +8,6 @@ from cmtrace.gaussian import (
     GaussianInt,
     gi_divmod,
     gi_gcd,
-    gi_mul,
     gi_powmod,
     is_primary,
     make_primary,
@@ -20,9 +19,9 @@ from oracles import exhaustive_two_squares, trial_is_prime
 
 
 def test_mul_basics():
-    assert gi_mul(GaussianInt(1, 1), GaussianInt(1, -1)) == GaussianInt(2, 0)
-    assert gi_mul(GaussianInt(-3, 2), GaussianInt(-3, -2)) == GaussianInt(13, 0)
-    assert gi_mul(GaussianInt(0, 0), GaussianInt(5, 7)) == GaussianInt(0, 0)
+    assert GaussianInt(1, 1) * GaussianInt(1, -1) == GaussianInt(2, 0)
+    assert GaussianInt(-3, 2) * GaussianInt(-3, -2) == GaussianInt(13, 0)
+    assert GaussianInt(0, 0) * GaussianInt(5, 7) == GaussianInt(0, 0)
     # norm is multiplicative
     a, b = GaussianInt(3, -4), GaussianInt(-2, 7)
     assert (a * b).norm() == a.norm() * b.norm()
@@ -149,6 +148,10 @@ def test_two_squares_examples():
         two_squares(7)
     with pytest.raises(PreconditionError):
         two_squares(2)
+    # composite ≡ 1 (mod 4) where no g gives g^((n-1)/2) ≡ -1: rejected
+    # at once, not after a search up to sqrt(n)
+    with pytest.raises(PreconditionError):
+        two_squares(3 * (10**18 + 3))
 
 
 def test_two_squares_vs_exhaustive():

@@ -87,6 +87,10 @@ def test_count_vs_slow_oracle():
 def test_count_negative_n_rejects():
     with pytest.raises(PreconditionError):
         hl_count((1, 0, 1), -1)
+    # a <= 0: f(x) never leaves [0, n] for good, so the scan would not end
+    for coeffs in ((-1, 0, 5), (0, 0, 5), (0, -1, 7)):
+        with pytest.raises(PreconditionError):
+            hl_count(coeffs, 10)
 
 
 def test_count_matches_delta_asymptotics():

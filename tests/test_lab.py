@@ -1,18 +1,22 @@
 import json
+import sys
+from math import isqrt
 
 import pytest
 
-from cmtrace.density import cm_threads, lt_constant
+import cmtrace
+from cmtrace import density, lab, primes
+from cmtrace.density import density_oracle, lt_constant
 from cmtrace.errors import PreconditionError
 from cmtrace.lab import (
     _COLUMNS,
     SweepReport,
-    is_prime_u64,
     lt_predict,
     report_emit,
     report_from_dict,
     sweep,
 )
+from cmtrace.primes import is_prime_u64
 from oracles import brute_ap, trial_is_prime
 
 
@@ -112,18 +116,6 @@ def test_sweep_excludes_bad_reduction():
     assert rep5.n_primes == rep3.n_primes - 1
 
 
-def test_sweep_thread_count_invariance(monkeypatch):
-    from cmtrace.lab import report_to_dict
-
-    monkeypatch.setenv("CM_THREADS", "1")
-    a = report_to_dict(sweep(-21, 1, 100_000_000))
-    monkeypatch.setenv("CM_THREADS", "4")
-    b = report_to_dict(sweep(-21, 1, 100_000_000))
-    a.pop("elapsed_seconds")
-    b.pop("elapsed_seconds")
-    assert a == b
-
-
 def test_sweep_rejects():
     with pytest.raises(PreconditionError):
         sweep(0, 1, 100)
@@ -193,16 +185,58 @@ def test_report_fields_are_rounded():
 
 
 # ---------------------------------------------------------------------------
-# worker count plumbing
+# each prime is validated once
 
-def test_cm_threads_env(monkeypatch):
-    monkeypatch.setenv("CM_THREADS", "3")
-    assert cm_threads() == 3
-    monkeypatch.setenv("CM_THREADS", "0")
-    with pytest.raises(PreconditionError):
-        cm_threads()
-    monkeypatch.setenv("CM_THREADS", "two")
-    with pytest.raises(PreconditionError):
-        cm_threads()
-    monkeypatch.delenv("CM_THREADS")
-    assert cm_threads() >= 1
+def _log_prime_tests(monkeypatch, driver):
+    """Wrap is_prime_u64 in every cmtrace module that binds it.
+
+    Returns the call log: one bool per call, True when the call ran beneath
+    the driver's trace step (whatever the driver binds from cmtrace.frobenius).
+    """
+    log = []
+    depth = [0]
+    orig = primes.is_prime_u64
+
+    def counted(n):
+        log.append(depth[0] > 0)
+        return orig(n)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "cmtrace" or name.startswith("cmtrace."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+
+    def step(fn):
+        def wrapped(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    for attr, val in list(vars(driver).items()):
+        if callable(val) and getattr(val, "__module__", None) == "cmtrace.frobenius":
+            monkeypatch.setattr(driver, attr, step(val))
+    return log
+
+
+def test_sweep_tests_each_candidate_once(monkeypatch):
+    log = _log_prime_tests(monkeypatch, lab)
+    rep = sweep(-21, 1, 10**6)
+    candidates = len(range(2, isqrt(10**6 - 1) + 1, 2))
+    assert rep.n_primes > 0
+    assert len(log) == candidates
+    assert not any(log)
+
+
+def test_oracle_trace_step_skips_primality(monkeypatch):
+    log = _log_prime_tests(monkeypatch, density)
+    pair, counts = density_oracle(-21, 1)
+    assert counts.total == 42
+    assert log and not any(log)
+
+
+def test_cm_threads_is_one():
+    assert cmtrace.cm_threads() == 1
