@@ -10,13 +10,20 @@ ProgressionSet the residue classes the progression oracle walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
 from .errors import PreconditionError
+from .primes import _U64_MAX, is_prime_u64
+
+_TRIAL_BOUND = 10**6
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division, n != 0."""
+    """Prime factorization of |n| by trial division up to 10^6, n != 0.
+
+    The cofactor left at that bound must be 1 or a prime below 2^64;
+    anything else raises PreconditionError instead of grinding on.
+    """
     if n == 0:
         raise PreconditionError("factorize(0)")
     n = abs(n)
@@ -27,12 +34,14 @@ def factorize(n: int) -> dict[int, int]:
             n //= p
     # wheel over 6k±1
     f = 5
-    while f * f <= n:
+    while f * f <= n and f <= _TRIAL_BOUND:
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
         f += 6
+    if f * f <= n and (n > _U64_MAX or not is_prime_u64(n)):
+        raise PreconditionError(f"factorize: cofactor {n} is not a prime below 2^64")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -225,10 +234,3 @@ def reduce_quartic_twist(D: int) -> int:
         out *= l ** (e % 4)
     return out
 
-
-def isqrt_exact(n: int) -> int | None:
-    """isqrt(n) when n is a perfect square, else None (n >= 0)."""
-    if n < 0:
-        return None
-    s = isqrt(n)
-    return s if s * s == n else None

@@ -33,7 +33,7 @@ from .arith import (
 )
 from .errors import NoRepresentativeFound, PreconditionError
 from .frobenius import _ap_kernel
-from .gaussian import GaussianInt, two_squares
+from .gaussian import GaussianInt
 from .hardy_littlewood import HLPoly, hl_delta
 from .primes import is_prime_u64
 from .residue_symbols import quartic_value_of
@@ -59,8 +59,8 @@ class DensityPair:
     d_minus: Fraction
 
     def __post_init__(self):
-        assert 0 <= self.d_plus <= 1 and 0 <= self.d_minus <= 1
-        assert self.d_plus + self.d_minus <= 1
+        if not (0 <= self.d_plus and 0 <= self.d_minus and self.d_plus + self.d_minus <= 1):
+            raise PreconditionError(f"{self} is not a pair of densities")
 
     def swapped(self) -> "DensityPair":
         return DensityPair(self.d_minus, self.d_plus)
@@ -214,7 +214,8 @@ def density_formula(D: int, r: int) -> DensityPair:
 
     The density is over the 2|D| progression classes (equivalently, natural
     density along the progression primes). D is reduced by fourth powers
-    first; both inputs must be nonzero.
+    first; both inputs must be nonzero, and D must pass factorize (at most
+    one prime factor above 10^6, and that one below 2^64).
     """
     if D == 0 or r == 0:
         raise PreconditionError("density_formula wants nonzero D and r")
@@ -229,21 +230,21 @@ def density_formula(D: int, r: int) -> DensityPair:
 
 
 def _find_representative(D_abs: int, r: int, k: int, x_max: int) -> int:
-    off = rho(r)
+    """The first leg y of class k with r^2 + y^2 prime."""
     r2 = r * r
-    base = 2 * k + off
+    base = 2 * k + rho(r)
     step = 4 * D_abs
     for x in range(x_max + 1):
-        p = r2 + (step * x + base) ** 2
-        if is_prime_u64(p):
-            return p
+        y = step * x + base
+        if is_prime_u64(r2 + y * y):
+            return y
     raise NoRepresentativeFound(D_abs, r, k, x_max)
 
 
 def _classify_class(D0: int, r: int, k: int, x_max: int) -> int:
     # progression primes are odd and coprime to D: good reduction, no check
-    p = _find_representative(abs(D0), r, k, x_max)
-    return _ap_kernel(D0, p)
+    y = _find_representative(abs(D0), r, k, x_max)
+    return _ap_kernel(D0, r, y)
 
 
 def density_oracle(
@@ -303,9 +304,8 @@ def sigma_sums(D: int, r: int, x_max: int = 100_000) -> SigmaTriple:
     ps = progression_set(D0, r)
     per_parity: dict[int, list[GaussianInt]] = {0: [], 1: []}
     for k in ps.ks:
-        p = _find_representative(ps.D_abs, r, k, x_max)
-        ts = two_squares(p)
-        per_parity[k % 2].append(quartic_value_of(D0, p, ts).to_gaussian())
+        y = _find_representative(ps.D_abs, r, k, x_max)
+        per_parity[k % 2].append(quartic_value_of(D0, r * r + y * y).to_gaussian())
     def q2(v: GaussianInt) -> int:
         # square of a fourth root of unity, as ±1
         assert v.im == 0 or v.re == 0

@@ -3,8 +3,8 @@
 ap_naive sums the quadratic character of x^3 + D*x over F_p (the definition,
 nothing clever). ap_binomial_residue reads 2*alpha off a central binomial
 coefficient mod p, with no factoring of p into two squares anywhere near it.
-ap_fast picks the right member of {±2*alpha, ±2*beta} via the quartic class
-of D. The whole point of this module is that the three must agree.
+ap_fast picks the right member of {±2*alpha, ±2*beta} as alpha times
+D^((p-1)/4) mod p. The whole point of this module is that the three must agree.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import numpy as np
 
 from .arith import reduce_quartic_twist  # re-exported as part of this surface
 from .errors import PreconditionError
-from .gaussian import TwoSquares, two_squares
+from .gaussian import two_squares
 from .primes import is_prime_u64
-from .residue_symbols import FourClass, quartic_class_of
 
 __all__ = [
     "CurveD",
@@ -69,15 +68,15 @@ def _chi_table(p: int) -> np.ndarray:
     return chi
 
 
-def ap_naive(D, p: int, cap: int = NAIVE_CAP) -> int:
+def ap_naive(D, p: int) -> int:
     """a_p by direct character sum: a_p = -sum_x chi(x^3 + D*x).
 
-    O(p) work; refuses p above `cap` (default 10^7) rather than silently
+    O(p) work; refuses p above NAIVE_CAP (10^7) rather than silently
     grinding. Odd prime p with good reduction required.
     """
     D = _coeff(D)
-    if p > cap:
-        raise PreconditionError(f"ap_naive: p={p} exceeds cap={cap}")
+    if p > NAIVE_CAP:
+        raise PreconditionError(f"ap_naive: p={p} exceeds cap={NAIVE_CAP}")
     if p < 3 or not is_prime_u64(p):
         raise PreconditionError(f"ap_naive wants an odd prime, got {p}")
     _check_good_reduction(D, p)
@@ -93,7 +92,7 @@ def ap_naive(D, p: int, cap: int = NAIVE_CAP) -> int:
     return a
 
 
-def ap_binomial_residue(p: int, cap: int = NAIVE_CAP) -> int:
+def ap_binomial_residue(p: int) -> int:
     """2*alpha mod p from the central binomial coefficient, lifted to (-p/2, p/2].
 
     binom((p-1)/2, (p-1)/4) ≡ 2*alpha (mod p) for p ≡ 1 (mod 4), and
@@ -104,8 +103,8 @@ def ap_binomial_residue(p: int, cap: int = NAIVE_CAP) -> int:
         raise PreconditionError(
             f"ap_binomial_residue wants a prime ≡ 1 (mod 4), got {p}"
         )
-    if p > cap:
-        raise PreconditionError(f"ap_binomial_residue: p={p} exceeds cap={cap}")
+    if p > NAIVE_CAP:
+        raise PreconditionError(f"ap_binomial_residue: p={p} exceeds cap={NAIVE_CAP}")
     m = (p - 1) // 4
     num = 1
     for j in range(m + 1, 2 * m + 1):
@@ -120,7 +119,7 @@ def ap_binomial_residue(p: int, cap: int = NAIVE_CAP) -> int:
     return c
 
 
-def ap_fast(D, p: int, ts: TwoSquares | None = None) -> int:
+def ap_fast(D, p: int) -> int:
     """a_p via the quartic class of D, O(log p) after the two-squares split.
 
     p ≡ 3 (mod 4) is supersingular (trace 0). Otherwise p = alpha^2 + beta^2
@@ -130,18 +129,23 @@ def ap_fast(D, p: int, ts: TwoSquares | None = None) -> int:
     _check_good_reduction(D, p)
     if p < 3 or not is_prime_u64(p):
         raise PreconditionError(f"ap_fast wants an odd prime, got {p}")
-    return _ap_kernel(D, p, ts)
-
-
-def _ap_kernel(D: int, p: int, ts: TwoSquares | None = None) -> int:
-    """ap_fast without its checks: p must be an odd prime not dividing D."""
     if p % 4 == 3:
         return 0
-    if ts is None:
-        ts = two_squares(p)
-    cls = quartic_class_of(D, p, ts)
-    if cls is FourClass.PLUS_ALPHA:
-        return 2 * ts.alpha
-    if cls is FourClass.MINUS_ALPHA:
-        return -2 * ts.alpha
-    return 2 * ts.beta if cls is FourClass.PLUS_BETA else -2 * ts.beta
+    ts = two_squares(p)
+    return _ap_kernel(D, ts.alpha, ts.beta)
+
+
+def _ap_kernel(D: int, x: int, y: int) -> int:
+    """ap_fast without its checks, on the legs of p = x^2 + y^2.
+
+    x and y have opposite parity, p is prime and does not divide D. With
+    alpha the odd leg signed ≡ 1 (mod 4), t = D^((p-1)/4) * alpha mod p is
+    one of ±alpha, ±beta; both legs are below sqrt(p), so the lift of t to
+    (-p/2, p/2) is exact, and a_p = 2t.
+    """
+    p = x * x + y * y
+    alpha = x if x % 2 else y
+    if alpha % 4 == 3:
+        alpha = -alpha
+    t = pow(D, (p - 1) // 4, p) * alpha % p
+    return 2 * (t - p if t > p // 2 else t)

@@ -59,11 +59,8 @@ class GaussianInt:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-GI_ZERO = GaussianInt(0, 0)
 GI_ONE = GaussianInt(1, 0)
 GI_I = GaussianInt(0, 1)
-
-_UNITS = (GI_ONE, GI_I, GaussianInt(-1, 0), GaussianInt(0, -1))
 
 
 def _round_half_down(x: int, n: int) -> int:
@@ -166,9 +163,9 @@ class TwoSquares:
     beta: int
 
     def __post_init__(self):
-        assert self.alpha % 4 == 1
-        assert self.beta > 0 and self.beta % 2 == 0
-        assert self.alpha * self.alpha + self.beta * self.beta == self.p
+        a, b = self.alpha, self.beta
+        if not (a % 4 == 1 and b > 0 and b % 2 == 0 and a * a + b * b == self.p):
+            raise PreconditionError(f"{self} is not a normalized two-squares split")
 
 
 def sqrt_minus_one(p: int) -> int:
@@ -193,7 +190,7 @@ def two_squares(p: int) -> TwoSquares:
 
     Cornacchia-style descent: run Euclid on (p, sqrt(-1) mod p); the first
     remainder below sqrt(p) is the odd leg up to sign. Primality of p is the
-    caller's responsibility; the exactness assert catches most abuse.
+    caller's responsibility; the exactness check catches most abuse.
     """
     if p % 4 != 1 or p < 5:
         raise PreconditionError(f"two_squares wants a prime ≡ 1 (mod 4), got {p}")

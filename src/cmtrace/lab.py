@@ -19,7 +19,7 @@ from math import isqrt, log, sqrt
 from .density import DensityPair, density_formula, lt_constant
 from .errors import PreconditionError
 from .frobenius import _ap_kernel
-from .primes import is_prime_u64
+from .primes import _U64_MAX, is_prime_u64
 
 __all__ = [
     "SweepReport",
@@ -27,8 +27,6 @@ __all__ = [
     "lt_predict",
     "report_emit",
 ]
-
-_U64_MAX = (1 << 64) - 1
 
 
 def _sig6(x: float) -> float:
@@ -71,7 +69,7 @@ def _scan(D: int, r: int, ys: range) -> tuple[int, int, int, int]:
             continue
         if twoD % p == 0:
             continue  # bad reduction for the caller's curve
-        a = _ap_kernel(D, p)
+        a = _ap_kernel(D, r, y)
         n_primes += 1
         if a == target:
             n_plus += 1

@@ -16,7 +16,6 @@ from .errors import PreconditionError
 from .gaussian import (
     GI_ONE,
     GaussianInt,
-    TwoSquares,
     gi_gcd,
     gi_mod,
     gi_powmod,
@@ -129,7 +128,7 @@ def reciprocity_check(lam: GaussianInt, pi: GaussianInt) -> bool:
     return lhs == rhs
 
 
-def quartic_class_of(D: int, p: int, ts: TwoSquares | None = None) -> FourClass:
+def quartic_class_of(D: int, p: int) -> FourClass:
     """Which of {1, -1, beta/alpha, -beta/alpha} D^((p-1)/4) is mod p.
 
     beta/alpha is a square root of -1 mod p (alpha^2 + beta^2 ≡ 0), so for
@@ -139,8 +138,7 @@ def quartic_class_of(D: int, p: int, ts: TwoSquares | None = None) -> FourClass:
         raise PreconditionError(f"quartic_class_of wants p ≡ 1 (mod 4), got {p}")
     if D % p == 0:
         raise PreconditionError(f"quartic_class_of: p={p} divides D={D}")
-    if ts is None:
-        ts = two_squares(p)
+    ts = two_squares(p)
     c = pow(D % p, (p - 1) // 4, p)
     if c == 1:
         return FourClass.PLUS_ALPHA
@@ -149,20 +147,19 @@ def quartic_class_of(D: int, p: int, ts: TwoSquares | None = None) -> FourClass:
     ba = ts.beta * pow(ts.alpha % p, p - 2, p) % p
     if c == ba:
         return FourClass.PLUS_BETA
-    assert c == p - ba, (D, p, c, ba)
+    if c != p - ba:
+        raise PreconditionError(f"quartic_class_of: {p} is not prime")
     return FourClass.MINUS_BETA
 
 
-def two_quartic_class(p: int, ts: TwoSquares | None = None) -> FourClass:
+def two_quartic_class(p: int) -> FourClass:
     """Closed form for the class of 2, read off beta mod 8.
 
     With alpha ≡ 1 (mod 4) the congruences 2*alpha ≡ 2 and 6*alpha ≡ 6
     (mod 8) hold identically, so the case split collapses to beta mod 8:
     0 -> +alpha, 4 -> -alpha, 2 -> +beta, 6 -> -beta. No exponentiation.
     """
-    if ts is None:
-        ts = two_squares(p)
-    b8 = ts.beta % 8
+    b8 = two_squares(p).beta % 8
     if b8 == 0:
         return FourClass.PLUS_ALPHA
     if b8 == 4:
@@ -187,12 +184,10 @@ def class_to_value(cls: FourClass, beta: int) -> QuarticValue:
     return QuarticValue.MINUS_I if cls is FourClass.PLUS_BETA else QuarticValue.I
 
 
-def quartic_value_of(D: int, p: int, ts: TwoSquares | None = None) -> QuarticValue:
+def quartic_value_of(D: int, p: int) -> QuarticValue:
     """The quartic symbol of D at p as a fourth root of unity.
 
     Equals quartic_symbol(D, pi) for the primary prime pi over p with
     im(pi) > 0, but computed through the residue class machinery.
     """
-    if ts is None:
-        ts = two_squares(p)
-    return class_to_value(quartic_class_of(D, p, ts), ts.beta)
+    return class_to_value(quartic_class_of(D, p), two_squares(p).beta)

@@ -117,9 +117,8 @@ def test_criterion_04_closed_form_class_of_two():
     for p in (int(q) for q in sieve_primes(1_000_000)):
         if p % 4 != 1:
             continue
-        ts = two_squares(p)
         checked += 1
-        if two_quartic_class(p, ts) != quartic_class_of(2, p, ts):
+        if two_quartic_class(p) != quartic_class_of(2, p):
             bad.append(p)
     _report(
         4,

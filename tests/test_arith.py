@@ -23,6 +23,10 @@ def test_factorize():
     assert factorize(1) == {}
     with pytest.raises(PreconditionError):
         factorize(0)
+    # one prime above the trial bound is fine; two are refused, not ground out
+    assert factorize(10**18 + 3) == {10**18 + 3: 1}
+    with pytest.raises(PreconditionError):
+        factorize((10**9 + 7) * (10**9 + 9))
 
 
 def test_tau_examples():

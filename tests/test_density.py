@@ -5,6 +5,7 @@ import pytest
 
 from cmtrace.arith import progression_set, reduce_quartic_twist, shape_of, split_d
 from cmtrace.density import (
+    DensityPair,
     density_formula,
     density_oracle,
     is_zero_pair,
@@ -100,6 +101,11 @@ def test_density_formula_rejects():
         density_formula(0, 1)
     with pytest.raises(PreconditionError):
         density_formula(5, 0)
+    with pytest.raises(PreconditionError):
+        density_formula((10**9 + 7) * (10**9 + 9), 1)
+    # a prime D ≡ 3 (mod 4) above the trial bound still factors: (1/4)(1 - 1/D)
+    D = 10**18 + 3
+    assert density_formula(D, 1) == DensityPair(F(D - 1, 4 * D), F(D - 1, 4 * D))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import random
+from itertools import product
 from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmtrace.errors import PreconditionError
 from cmtrace.frobenius import (
     NAIVE_CAP,
     CurveD,
+    _ap_kernel,
     ap_binomial_residue,
     ap_fast,
     ap_naive,
@@ -103,7 +107,7 @@ def test_beta_sign_calibration():
         if not trial_is_prime(p) or p % 3 == 0:
             continue
         ts = two_squares(p)
-        cls = quartic_class_of(3, p, ts)
+        cls = quartic_class_of(3, p)
         if cls not in (FourClass.PLUS_BETA, FourClass.MINUS_BETA):
             continue
         want = 2 * ts.beta if cls is FourClass.PLUS_BETA else -2 * ts.beta
@@ -119,6 +123,28 @@ def test_ap_fast_vs_naive_battery():
             if (2 * D) % p == 0:
                 continue
             assert ap_fast(D, p) == ap_naive(D, p), (D, p)
+
+
+# (odd leg, even leg) of every prime x^2 + y^2 <= 10^5, found by trial division
+LEGS = [
+    (x, y)
+    for x in range(1, 317, 2)
+    for y in range(2, 317, 2)
+    if x * x + y * y <= 10**5 and trial_is_prime(x * x + y * y)
+]
+
+
+@settings(deadline=None)
+@given(legs=st.sampled_from(LEGS), D=st.integers(-10**6, 10**6))
+def test_kernel_on_legs_matches_naive(legs, D):
+    # legs of opposite parity, in either order and with either sign
+    x, y = legs
+    p = x * x + y * y
+    assume(D % p != 0)
+    want = ap_naive(D, p)
+    for sx, sy in product((1, -1), repeat=2):
+        assert _ap_kernel(D, sx * x, sy * y) == want, (D, sx * x, sy * y)
+        assert _ap_kernel(D, sy * y, sx * x) == want, (D, sy * y, sx * x)
 
 
 def test_hasse_parity_supersingular():

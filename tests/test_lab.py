@@ -5,9 +5,10 @@ from math import isqrt
 import pytest
 
 import cmtrace
-from cmtrace import density, lab, primes
+from cmtrace import density, gaussian, lab, primes
 from cmtrace.density import density_oracle, lt_constant
 from cmtrace.errors import PreconditionError
+from cmtrace.frobenius import ap_fast
 from cmtrace.lab import (
     _COLUMNS,
     SweepReport,
@@ -236,6 +237,36 @@ def test_oracle_trace_step_skips_primality(monkeypatch):
     pair, counts = density_oracle(-21, 1)
     assert counts.total == 42
     assert log and not any(log)
+
+
+# ---------------------------------------------------------------------------
+# the drivers read the two-squares split off the legs they hold
+
+def _log_splits(monkeypatch):
+    """Wrap two_squares in every cmtrace module that binds it; return the log."""
+    log = []
+    orig = gaussian.two_squares
+
+    def counted(p):
+        log.append(p)
+        return orig(p)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "cmtrace" or name.startswith("cmtrace."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return log
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_drivers_never_split(monkeypatch, r):
+    log = _log_splits(monkeypatch)
+    assert sweep(-21, r, 10**6).n_primes > 0
+    assert density_oracle(-21, r)[1].total > 0
+    assert log == []
+    ap_fast(-21, 13)  # the public route still splits, and the log sees it
+    assert log == [13]
 
 
 def test_cm_threads_is_one():

@@ -1,9 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cmtrace
+from cmtrace.density import DensityPair
 from cmtrace.errors import PreconditionError
-from cmtrace.gaussian import GaussianInt, primary_prime_above, two_squares
+from cmtrace.gaussian import GaussianInt, TwoSquares, primary_prime_above, two_squares
 from cmtrace.residue_symbols import (
     FourClass,
     QuarticValue,
@@ -127,6 +134,42 @@ def test_quartic_class_examples():
         quartic_class_of(2, 7)
     with pytest.raises(PreconditionError):
         quartic_class_of(13, 13)
+
+
+# result guards: each call below must raise, with or without python -O
+_GUARDED = (
+    "TwoSquares(13, 3, 2)",
+    "DensityPair(Fraction(3), Fraction(-1))",
+    "quartic_class_of(2, 85)",  # 85 = 5 * 17
+)
+
+
+def test_result_guards_raise():
+    with pytest.raises(PreconditionError):
+        TwoSquares(13, 3, 2)
+    with pytest.raises(PreconditionError):
+        DensityPair(Fraction(3), Fraction(-1))
+    with pytest.raises(PreconditionError):
+        quartic_class_of(2, 85)
+
+
+def test_result_guards_survive_python_O():
+    script = "\n".join([
+        "from fractions import Fraction",
+        "from cmtrace import DensityPair, PreconditionError, TwoSquares, quartic_class_of",
+        "for call in " + repr(_GUARDED) + ":",
+        "    try:",
+        "        print(call, 'returned', eval(call))",
+        "    except PreconditionError:",
+        "        print(call, 'raised')",
+    ])
+    src = str(Path(cmtrace.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.splitlines() == [f"{call} raised" for call in _GUARDED]
 
 
 def test_two_quartic_class_examples():
