@@ -64,13 +64,12 @@ def tau(D: int) -> int:
     """
     if D == 0:
         raise PreconditionError("tau(0)")
-    t = 1
-    for l, e in factorize(D).items():
-        if l % 4 == 1:
-            t *= l ** (e - 1) * (l - 2)
-        else:
-            t *= l**e
-    return t
+    return prod(l ** (e - 1) * _tau_prime(l) for l, e in factorize(D).items())
+
+
+def _tau_prime(l: int) -> int:
+    """tau of the prime l: l - 2 for l ≡ 1 (mod 4), l otherwise."""
+    return l - 2 if l % 4 == 1 else l
 
 
 def euler_phi(n: int) -> int:
@@ -123,10 +122,6 @@ class DShape:
         v *= prod(l**3 for l in self.l_list)
         return v
 
-    @property
-    def odd_primes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.p_list + self.q_list + self.l_list))
-
 
 def shape_of(D: int) -> DShape:
     if D == 0:
@@ -134,16 +129,21 @@ def shape_of(D: int) -> DShape:
     fac = factorize(D)
     if any(e >= 4 for e in fac.values()):
         raise PreconditionError(f"shape_of wants fourth-power-free input, got {D}")
-    sigma = fac.pop(2, 0)
+    return _shape(1 if D > 0 else -1, fac)
+
+
+def _shape(sign: int, fac: dict[int, int]) -> DShape:
+    """DShape of sign * prod(l**e for l, e in fac), exponents below 4."""
     buckets: dict[int, list[int]] = {1: [], 2: [], 3: []}
     for l, e in sorted(fac.items()):
-        buckets[e].append(l)
+        if l != 2:
+            buckets[e].append(l)
     p_list, q_list, l_list = (tuple(buckets[e]) for e in (1, 2, 3))
     r_counts = {i: sum(1 for l in p_list if l % 8 == i) for i in _RESIDUES}
     t_counts = {i: sum(1 for l in l_list if l % 8 == i) for i in _RESIDUES}
     return DShape(
-        sign=1 if D > 0 else -1,
-        sigma=sigma,
+        sign=sign,
+        sigma=fac.get(2, 0),
         p_list=p_list,
         q_list=q_list,
         l_list=l_list,
@@ -179,11 +179,14 @@ def split_d(D: int, r: int) -> DSplit:
     fac = factorize(D)
     if any(e >= 4 for e in fac.values()):
         raise PreconditionError(f"split_d wants fourth-power-free D, got {D}")
-    d = prod(l**e for l, e in fac.items() if l != 2 and r % l == 0)
+    fac_d = {l: e for l, e in fac.items() if l != 2 and r % l == 0}
+    fac_dbar = {l: e for l, e in fac.items() if l not in fac_d}
+    d = prod(l**e for l, e in fac_d.items())
     dbar = D // d
     assert d * dbar == D and gcd(d, dbar) == 1
-    assert gcd(rad_odd(dbar), r) == 1 and d % 2 == 1 and d > 0
-    return DSplit(D=D, r=r, d=d, dbar=dbar, shape_d=shape_of(d), shape_dbar=shape_of(dbar))
+    assert all(r % l for l in fac_dbar if l != 2) and d % 2 == 1 and d > 0
+    shape_d, shape_dbar = _shape(1, fac_d), _shape(1 if D > 0 else -1, fac_dbar)
+    return DSplit(D=D, r=r, d=d, dbar=dbar, shape_d=shape_d, shape_dbar=shape_dbar)
 
 
 def rho(r: int) -> int:

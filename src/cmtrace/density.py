@@ -22,13 +22,11 @@ from math import prod
 
 from .arith import (
     DSplit,
-    ProgressionSet,
+    _tau_prime,
     progression_set,
-    rad_odd,
     reduce_quartic_twist,
     rho,
     split_d,
-    tau,
     v2,
 )
 from .errors import NoRepresentativeFound, PreconditionError
@@ -118,43 +116,49 @@ class ZeroVerdict:
 
 # ---------------------------------------------------------------------------
 # closed forms
+#
+# Each helper takes the split of the reduced D against the normalized m
+# (split.D, split.r), built once per request by _closed_form.
 
 
 def _T1(split: DSplit) -> int:
     # weight over dbar's odd primes of exponent 1 and 3
     sh = split.shape_dbar
-    return prod(tau(l) for l in sh.p_list + sh.l_list)
+    return prod(_tau_prime(l) for l in sh.p_list + sh.l_list)
 
 
 def _T2(split: DSplit) -> int:
     # weight over all of dbar's odd primes
     sh = split.shape_dbar
-    return prod(tau(l) for l in sh.p_list + sh.q_list + sh.l_list)
+    return prod(_tau_prime(l) for l in sh.p_list + sh.q_list + sh.l_list)
 
 
-def _dbar_parity_sign(split: DSplit) -> int:
-    # (-1)^(number of exponent-1 plus exponent-3 primes of dbar)
+def _base(split: DSplit, sign: int = 1) -> Fraction:
+    """(1/4)(1 + sign * (-1)^(r''+t'') / T1), r''+t'' counting dbar's odd-exponent primes."""
     sh = split.shape_dbar
-    return -1 if (sh.r + sh.t) % 2 else 1
+    parity = -1 if (sh.r + sh.t) % 2 else 1
+    return Fraction(1, 4) * (1 + Fraction(sign * parity, _T1(split)))
 
 
 def _sym_pair(split: DSplit, sign: int) -> DensityPair:
-    """(1/4)(1 + sign * (-1)^(r''+t'') / T1) on both sides."""
-    v = Fraction(1, 4) * (1 + Fraction(sign * _dbar_parity_sign(split), _T1(split)))
+    v = _base(split, sign)
     return DensityPair(v, v)
 
 
-def _odd_pair(D: int, alpha: int) -> DensityPair:
-    """Densities of (a_p = 2*alpha, a_p = -2*alpha), alpha ≡ 1 (mod 4)."""
-    split = split_d(D, alpha)
-    sigma = v2(D)
+def _odd_asym(D: int, sigma: int) -> bool:
+    # the odd-trace block where the two sides differ
+    return (sigma == 0 and D % 4 == 1) or (sigma == 2 and (D // 4) % 4 == 3)
+
+
+def _odd_pair(split: DSplit) -> DensityPair:
+    """Densities of (a_p = 2*alpha, a_p = -2*alpha), alpha = split.r ≡ 1 (mod 4)."""
+    sigma = split.shape_dbar.sigma
     if sigma in (1, 3):
         quarter = Fraction(1, 4)
         return DensityPair(quarter, quarter)
-    asym = (sigma == 0 and D % 4 == 1) or (sigma == 2 and (D // 4) % 4 == 3)
-    if not asym:
+    if not _odd_asym(split.D, sigma):
         return _sym_pair(split, +1)
-    base = Fraction(1, 4) * (1 + Fraction(_dbar_parity_sign(split), _T1(split)))
+    base = _base(split)
     sh_d, sh_db = split.shape_d, split.shape_dbar
     e = (
         sh_d.r_counts[3] + sh_d.r_counts[5] + sh_d.t_counts[3] + sh_d.t_counts[5]
@@ -165,15 +169,15 @@ def _odd_pair(D: int, alpha: int) -> DensityPair:
     return DensityPair(base + term, base - term)
 
 
-def _even_pair(D: int, m: int) -> DensityPair:
-    """Densities of (a_p = 2m, a_p = -2m) for even m; 2||m implies m ≡ 2 (mod 8)."""
-    split = split_d(D, m)
-    sigma = v2(D)
-    if v2(m) >= 2 or sigma in (0, 2):
+def _even_pair(split: DSplit) -> DensityPair:
+    """Densities of (a_p = 2m, a_p = -2m), even m = split.r; 2||m implies m ≡ 2 (mod 8)."""
+    D, sh_db = split.D, split.shape_dbar
+    sigma = sh_db.sigma
+    if v2(split.r) >= 2 or sigma in (0, 2):
         # symmetric across the board; vanishes iff dbar has no odd prime
         return _sym_pair(split, -1)
     # now 2||m (m ≡ 2 mod 8 by normalization) and sigma in {1, 3}
-    if split.shape_dbar.r + split.shape_dbar.s + split.shape_dbar.t == 0:
+    if sh_db.r + sh_db.s + sh_db.t == 0:
         # dbar is ±2 or ±8: one side takes everything
         if sigma == 1:
             plus_takes_all = (D // 2) % 4 == 1
@@ -181,8 +185,7 @@ def _even_pair(D: int, m: int) -> DensityPair:
             plus_takes_all = (D // 8) % 4 == 3
         one, zero = Fraction(1), Fraction(0)
         return DensityPair(one, zero) if plus_takes_all else DensityPair(zero, one)
-    base = Fraction(1, 4) * (1 + Fraction(_dbar_parity_sign(split), _T1(split)))
-    sh_db = split.shape_dbar
+    base = _base(split)
     e = (
         sh_db.r_counts[1] + sh_db.r_counts[5] + sh_db.t_counts[1] + sh_db.t_counts[5]
         + sh_db.s + ((split.d - 1) // 2)
@@ -209,6 +212,15 @@ def _normalize(r: int) -> tuple[int, bool]:
     return m, m != r
 
 
+def _closed_form(D: int, r: int) -> tuple[DSplit, DensityPair, bool]:
+    """The split of the reduced D against the normalized m, its pair, the swap."""
+    if D == 0 or r == 0:
+        raise PreconditionError("density_formula wants nonzero D and r")
+    m, swap = _normalize(r)
+    split = split_d(reduce_quartic_twist(D), m)
+    return split, (_odd_pair(split) if m % 2 else _even_pair(split)), swap
+
+
 def density_formula(D: int, r: int) -> DensityPair:
     """Exact densities of a_p = +2r and a_p = -2r among p = r^2 + y^2.
 
@@ -217,11 +229,7 @@ def density_formula(D: int, r: int) -> DensityPair:
     first; both inputs must be nonzero, and D must pass factorize (at most
     one prime factor above 10^6, and that one below 2^64).
     """
-    if D == 0 or r == 0:
-        raise PreconditionError("density_formula wants nonzero D and r")
-    D0 = reduce_quartic_twist(D)
-    m, swap = _normalize(r)
-    pair = _odd_pair(D0, m) if r % 2 else _even_pair(D0, m)
+    _, pair, swap = _closed_form(D, r)
     return pair.swapped() if swap else pair
 
 
@@ -330,50 +338,47 @@ def sigma_sums(D: int, r: int, x_max: int = 100_000) -> SigmaTriple:
 
 # ---------------------------------------------------------------------------
 # vanishing: formula-derived verdicts plus the published row patterns
+#
+# The row helpers return (row id, plus_zero, minus_zero) for the normalized
+# m: which sides of a_p = ±2m the published row says vanish.
 
 
-def _odd_zero_row(D0: int, m: int) -> tuple[str, bool] | None:
-    """Literal odd-trace row patterns. Returns (row id, plus side is the zero).
+def _odd_zero_row(split: DSplit) -> tuple[str, bool, bool] | None:
+    """Literal odd-trace row patterns; exactly one side is the zero.
 
-    'plus' here means a_p = +2m for the normalized m ≡ 1 (mod 4). The three
-    rows share the shape |dbar| in {1,4} x {1,3,5,27,125}; the parity that
-    picks the zero side comes from the prime counts ≡ 3,5 (mod 8).
+    The three rows share the shape |dbar| in {1,4} x {1,3,5,27,125}; the
+    parity that picks the zero side comes from the prime counts ≡ 3,5 (mod 8).
     """
-    split = split_d(D0, m)
-    sigma = v2(D0)
-    block1 = (sigma == 0 and D0 % 4 == 1) or (sigma == 2 and (D0 // 4) % 4 == 3)
-    if not block1:
-        return None
-    dbar_odd = abs(split.dbar) >> sigma
     sh_d, sh_db = split.shape_d, split.shape_dbar
+    sigma = sh_db.sigma
+    if not _odd_asym(split.D, sigma):
+        return None
+    s = sh_d.r_counts[3] + sh_d.r_counts[5] + sh_d.t_counts[3] + sh_d.t_counts[5]
+    dbar_odd = abs(split.dbar) >> sigma
     if dbar_odd == 1:
-        s = (
-            sh_d.r_counts[3] + sh_d.r_counts[5] + sh_d.t_counts[3] + sh_d.t_counts[5]
-            + sh_db.r_counts[3] + sh_db.r_counts[5] + sh_db.t_counts[3] + sh_db.t_counts[5]
-        )
-        return ("odd:unit-cofactor", s % 2 == 1)
-    if dbar_odd in (3, 5, 27, 125):
-        s = sh_d.r_counts[3] + sh_d.r_counts[5] + sh_d.t_counts[3] + sh_d.t_counts[5]
+        s += sh_db.r_counts[3] + sh_db.r_counts[5] + sh_db.t_counts[3] + sh_db.t_counts[5]
+        row = "odd:unit-cofactor"
+    elif dbar_odd in (3, 5, 27, 125):
         row = "odd:prime-cofactor" if sigma == 0 else "odd:prime-cofactor-x4"
-        return (row, s % 2 == 1)
-    return None
+    else:
+        return None
+    return (row, s % 2 == 1, s % 2 == 0)
 
 
 _EVEN_MIXED_PLUS = {2 * 5, 2 * 125, -2 * 3, -2 * 27, -8 * 5, -8 * 125, 8 * 3, 8 * 27}
 _EVEN_MIXED_MINUS = {2 * 3, 2 * 27, -2 * 5, -2 * 125, -8 * 3, -8 * 27, 8 * 5, 8 * 125}
 
 
-def _even_zero_row(D0: int, m: int) -> tuple[str, bool, bool] | None:
-    """Literal even-trace rows. Returns (row id, plus_zero, minus_zero)."""
-    sigma = v2(D0)
-    if sigma in (0, 2):
-        if m % rad_odd(D0) == 0:
+def _even_zero_row(split: DSplit) -> tuple[str, bool, bool] | None:
+    """Literal even-trace rows."""
+    D0, dbar, sh_db = split.D, split.dbar, split.shape_dbar
+    if sh_db.sigma in (0, 2):
+        # m divisible by every odd prime of D0, i.e. all of them went to d
+        if sh_db.r + sh_db.s + sh_db.t == 0:
             return ("even:radical", True, True)
         return None
-    if v2(m) != 1:
+    if v2(split.r) != 1:
         return None  # the published rows only cover 2||beta here
-    split = split_d(D0, m)
-    dbar = split.dbar
     if dbar in (2, -2):
         plus_zero = (D0 // 2) % 4 == 3
         return ("even:cofactor-2", plus_zero, not plus_zero)
@@ -392,34 +397,19 @@ def _even_zero_row(D0: int, m: int) -> tuple[str, bool, bool] | None:
 def is_zero_pair(D: int, r: int) -> ZeroVerdict:
     """Formula-derived vanishing for both signs, tagged with the matched row.
 
-    The verdict always comes from density_formula. table_row reports which
-    published row pattern (if any) covers the instance; a dedicated check
-    asserts the two agree wherever a row matches, so a silent divergence
-    cannot hide here.
+    The verdict always comes from the closed forms. table_row reports which
+    published row pattern (if any) covers the instance; wherever a row
+    matches, the two are checked to agree (an AssertionError, also under
+    python -O), so a silent divergence cannot hide here.
     """
-    pair = density_formula(D, r)
-    plus_zero = pair.d_plus == 0
-    minus_zero = pair.d_minus == 0
-    D0 = reduce_quartic_twist(D)
-    m, swap = _normalize(r)
-    row: str | None = None
-    if r % 2:
-        hit = _odd_zero_row(D0, m)
-        if hit is not None:
-            row, norm_plus_zero = hit
-            # normalized +2m is the caller's -2r exactly when we swapped
-            side_is_plus = norm_plus_zero != swap
-            side = pair.d_plus if side_is_plus else pair.d_minus
-            assert side == 0, f"zero row disagrees with formula at (D={D}, r={r})"
-    else:
-        hit = _even_zero_row(D0, m)
-        if hit is not None:
-            row, z_plus_n, z_minus_n = hit
-            if swap:
-                z_plus_n, z_minus_n = z_minus_n, z_plus_n
-            assert (not z_plus_n or plus_zero) and (not z_minus_n or minus_zero), (
-                f"zero row disagrees with formula at (D={D}, r={r})"
-            )
+    split, pair, swap = _closed_form(D, r)
+    hit = (_odd_zero_row if r % 2 else _even_zero_row)(split)
+    row, z_plus, z_minus = hit or (None, False, False)
+    if (z_plus and pair.d_plus != 0) or (z_minus and pair.d_minus != 0):
+        raise AssertionError(f"zero row disagrees with formula at (D={D}, r={r})")
+    plus_zero, minus_zero = pair.d_plus == 0, pair.d_minus == 0
+    if swap:
+        plus_zero, minus_zero = minus_zero, plus_zero
     return ZeroVerdict(D=D, r=r, plus_zero=plus_zero, minus_zero=minus_zero, table_row=row)
 
 

@@ -115,24 +115,6 @@ def sweep(D: int, r: int, N: int) -> SweepReport:
     )
 
 
-_COLUMNS = [
-    "D",
-    "r",
-    "N",
-    "n_primes",
-    "n_plus",
-    "n_minus",
-    "n_other",
-    "empirical_plus",
-    "empirical_minus",
-    "predicted_plus",
-    "predicted_minus",
-    "pi_lt",
-    "lt_predicted",
-    "elapsed_seconds",
-]
-
-
 def report_to_dict(report: SweepReport) -> dict:
     """Flat dict with exact fractions as strings, stable key order."""
     out: dict = {}
@@ -157,7 +139,7 @@ def report_from_dict(data: dict) -> SweepReport:
 def report_emit(report: SweepReport, fmt: str = "json", path: str | None = None) -> str:
     """Serialize a report; write to path when given, return the text either way.
 
-    Field order is fixed (the _COLUMNS list), floats were rounded to 6
+    Field order is fixed (report_to_dict's), floats were rounded to 6
     significant digits at construction, fractions ride as strings, so
     report_from_dict(json.loads(...)) reproduces the report exactly.
     """
@@ -165,9 +147,10 @@ def report_emit(report: SweepReport, fmt: str = "json", path: str | None = None)
         text = json.dumps(report_to_dict(report), indent=2) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=_COLUMNS)
+        row = report_to_dict(report)
+        w = csv.DictWriter(buf, fieldnames=list(row))
         w.writeheader()
-        w.writerow(report_to_dict(report))
+        w.writerow(row)
         text = buf.getvalue()
     else:
         raise PreconditionError(f"report_emit: unknown format {fmt!r}")

@@ -71,7 +71,8 @@ def legendre(a: int, p: int) -> int:
     t = pow(a, (p - 1) // 2, p)
     if t == 1:
         return 1
-    assert t == p - 1, f"legendre: {p} is not prime"
+    if t != p - 1:
+        raise PreconditionError(f"legendre: {p} is not prime")
     return -1
 
 

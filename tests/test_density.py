@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import cmtrace
 from cmtrace.arith import progression_set, reduce_quartic_twist, shape_of, split_d
 from cmtrace.density import (
     DensityPair,
@@ -242,6 +247,31 @@ def test_is_zero_pair_row_instances():
     assert v.table_row == "even:mixed" and v.plus_zero
     v = is_zero_pair(3, 6)
     assert v.table_row == "even:radical" and v.plus_zero and v.minus_zero
+
+
+def test_zero_row_check_survives_python_O():
+    # a closed form that swaps its sides must trip the row check, even under -O
+    script = "\n".join([
+        "from cmtrace import PreconditionError, density",
+        "for helper, D, r in (('_odd_pair', 5, 3), ('_even_pair', 2, 2)):",
+        "    density.is_zero_pair(D, r)",
+        "    orig = getattr(density, helper)",
+        "    setattr(density, helper, lambda *a, orig=orig: orig(*a).swapped())",
+        "    try:",
+        "        print(helper, 'returned', density.is_zero_pair(D, r))",
+        "    except PreconditionError:",
+        "        print(helper, 'rejected')",
+        "    except Exception:",
+        "        print(helper, 'raised')",
+        "    setattr(density, helper, orig)",
+    ])
+    src = str(Path(cmtrace.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.splitlines() == ["_odd_pair raised", "_even_pair raised"]
 
 
 def test_zero_verdict_matches_formula_on_grid():

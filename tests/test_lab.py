@@ -5,12 +5,11 @@ from math import isqrt
 import pytest
 
 import cmtrace
-from cmtrace import density, gaussian, lab, primes
-from cmtrace.density import density_oracle, lt_constant
+from cmtrace import arith, density, gaussian, lab, primes
+from cmtrace.density import density_formula, density_oracle, is_zero_pair, lt_constant
 from cmtrace.errors import PreconditionError
 from cmtrace.frobenius import ap_fast
 from cmtrace.lab import (
-    _COLUMNS,
     SweepReport,
     lt_predict,
     report_emit,
@@ -165,7 +164,10 @@ def test_report_csv_header():
     rep = sweep(2, 2, 200)
     text = report_emit(rep, "csv")
     lines = text.strip().splitlines()
-    assert lines[0] == ",".join(_COLUMNS)
+    assert lines[0] == (
+        "D,r,N,n_primes,n_plus,n_minus,n_other,empirical_plus,empirical_minus,"
+        "predicted_plus,predicted_minus,pi_lt,lt_predicted,elapsed_seconds"
+    )
     assert len(lines) == 2
     row = lines[1].split(",")
     assert row[0] == "2" and row[3] == "5"  # D and n_primes
@@ -240,33 +242,49 @@ def test_oracle_trace_step_skips_primality(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the drivers read the two-squares split off the legs they hold
+# call counts: the drivers read the two-squares split off the legs they
+# hold, and each density request factors D once
 
-def _log_splits(monkeypatch):
-    """Wrap two_squares in every cmtrace module that binds it; return the log."""
+def _log_calls(monkeypatch, fn):
+    """Wrap fn in every cmtrace module that binds it; log each first argument."""
     log = []
-    orig = gaussian.two_squares
 
-    def counted(p):
-        log.append(p)
-        return orig(p)
+    def counted(n, *args):
+        log.append(n)
+        return fn(n, *args)
 
     for name, mod in list(sys.modules.items()):
         if name == "cmtrace" or name.startswith("cmtrace."):
             for attr, val in list(vars(mod).items()):
-                if val is orig:
+                if val is fn:
                     monkeypatch.setattr(mod, attr, counted)
     return log
 
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_drivers_never_split(monkeypatch, r):
-    log = _log_splits(monkeypatch)
+    log = _log_calls(monkeypatch, gaussian.two_squares)
     assert sweep(-21, r, 10**6).n_primes > 0
     assert density_oracle(-21, r)[1].total > 0
     assert log == []
     ap_fast(-21, 13)  # the public route still splits, and the log sees it
     assert log == [13]
+
+
+@pytest.mark.parametrize("D, r", [(-21, 1), (-46, 10), (10**18 + 3, 1), (2 * (10**12 + 39), 2)])
+def test_density_factors_D_twice(monkeypatch, D, r):
+    # once to strip fourth powers, once to split the result against r
+    log = _log_calls(monkeypatch, arith.factorize)
+    density_formula(D, r)
+    assert len(log) == 2
+    is_zero_pair(D, r)
+    assert len(log) == 4
+
+
+def test_sweep_factors_D_at_most_four_times(monkeypatch):
+    log = _log_calls(monkeypatch, arith.factorize)
+    sweep(-21, 2, 10**5)
+    assert len(log) <= 4
 
 
 def test_cm_threads_is_one():

@@ -141,6 +141,7 @@ _GUARDED = (
     "TwoSquares(13, 3, 2)",
     "DensityPair(Fraction(3), Fraction(-1))",
     "quartic_class_of(2, 85)",  # 85 = 5 * 17
+    "legendre(2, 15)",
 )
 
 
@@ -157,6 +158,7 @@ def test_result_guards_survive_python_O():
     script = "\n".join([
         "from fractions import Fraction",
         "from cmtrace import DensityPair, PreconditionError, TwoSquares, quartic_class_of",
+        "from cmtrace.residue_symbols import legendre",
         "for call in " + repr(_GUARDED) + ":",
         "    try:",
         "        print(call, 'returned', eval(call))",
