@@ -34,7 +34,7 @@ from .frobenius import _ap_kernel
 from .gaussian import GaussianInt
 from .hardy_littlewood import HLPoly, hl_delta
 from .primes import is_prime_u64
-from .residue_symbols import quartic_value_of
+from .residue_symbols import FourClass, _trace_class, class_to_value
 
 __all__ = [
     "DensityPair",
@@ -268,31 +268,11 @@ def density_oracle(
     if D == 0 or r == 0:
         raise PreconditionError("density_oracle wants nonzero D and r")
     D0 = reduce_quartic_twist(D)
-    ps = progression_set(D0, r)
-    plus = minus = 0
-    xa = xma = xb = xmb = 0
-    for k in ps.ks:
-        a = _classify_class(D0, r, k, x_max)
-        if a == 2 * r:
-            plus += 1
-        elif a == -2 * r:
-            minus += 1
-        # bucket against the normalized decomposition: odd traces are
-        # ±2*alpha with alpha ≡ 1 (mod 4), even ones ±2*beta with beta > 0
-        half = a // 2
-        if half % 2:
-            if half % 4 == 1:
-                xa += 1
-            else:
-                xma += 1
-        elif half > 0:
-            xb += 1
-        else:
-            xmb += 1
-    n = len(ps.ks)
-    pair = DensityPair(Fraction(plus, n), Fraction(minus, n))
-    counts = ClassCounts(x_alpha=xa, x_minus_alpha=xma, x_beta=xb, x_minus_beta=xmb)
-    assert counts.total == n
+    traces = [_classify_class(D0, r, k, x_max) for k in progression_set(D0, r).ks]
+    n = len(traces)
+    pair = DensityPair(Fraction(traces.count(2 * r), n), Fraction(traces.count(-2 * r), n))
+    classes = [_trace_class(a) for a in traces]
+    counts = ClassCounts(*(classes.count(c) for c in FourClass))  # fields in FourClass order
     return pair, counts
 
 
@@ -310,29 +290,26 @@ def sigma_sums(D: int, r: int, x_max: int = 100_000) -> SigmaTriple:
     if D0 % 2 == 0:
         raise PreconditionError(f"sigma_sums wants odd D (after reduction), got {D0}")
     ps = progression_set(D0, r)
-    per_parity: dict[int, list[GaussianInt]] = {0: [], 1: []}
+    # indexed by the parity of k: classes, quadratic symbols (D/p), quartic values
+    n, s2, s4 = [0, 0], [0, 0], [GaussianInt(0, 0)] * 2
     for k in ps.ks:
         y = _find_representative(ps.D_abs, r, k, x_max)
-        per_parity[k % 2].append(quartic_value_of(D0, r * r + y * y).to_gaussian())
-    def q2(v: GaussianInt) -> int:
-        # square of a fourth root of unity, as ±1
-        assert v.im == 0 or v.re == 0
-        return 1 if v.im == 0 else -1
-    s4_i = sum(per_parity[1], GaussianInt(0, 0))
-    s4_ii = sum(per_parity[0], GaussianInt(0, 0))
-    s2_i = sum(q2(v) for v in per_parity[1])
-    s2_ii = sum(q2(v) for v in per_parity[0])
-    n_i, n_ii = len(per_parity[1]), len(per_parity[0])
+        cls = _trace_class(_ap_kernel(D0, r, y))
+        j = k % 2
+        n[j] += 1
+        # D is a square mod p exactly on the ±alpha classes
+        s2[j] += 1 if cls in (FourClass.PLUS_ALPHA, FourClass.MINUS_ALPHA) else -1
+        s4[j] += class_to_value(cls, abs(y if r % 2 else r)).to_gaussian()
     return SigmaTriple(
-        sigma=n_i + n_ii,
-        sigma2=s2_i + s2_ii,
-        sigma4=s4_i + s4_ii,
-        sigma_i=n_i,
-        sigma_ii=n_ii,
-        sigma2_i=s2_i,
-        sigma2_ii=s2_ii,
-        sigma4_i=s4_i,
-        sigma4_ii=s4_ii,
+        sigma=n[1] + n[0],
+        sigma2=s2[1] + s2[0],
+        sigma4=s4[1] + s4[0],
+        sigma_i=n[1],
+        sigma_ii=n[0],
+        sigma2_i=s2[1],
+        sigma2_ii=s2[0],
+        sigma4_i=s4[1],
+        sigma4_ii=s4[0],
     )
 
 
@@ -424,7 +401,11 @@ def lt_constant(D: int, r: int, prime_bound: int = 1_000_000) -> float:
     (truncated Euler product over p <= prime_bound) and the exact class
     density of a_p = +2r. Exactly 0.0 when the density side vanishes.
     """
-    pair = density_formula(D, r)
+    return _lt_constant(density_formula(D, r), r, prime_bound)
+
+
+def _lt_constant(pair: DensityPair, r: int, prime_bound: int) -> float:
+    # lt_constant on the density pair of (D, r), for callers that hold it
     if pair.d_plus == 0:
         return 0.0
     delta = hl_delta(HLPoly(1, 0, r * r), prime_bound)

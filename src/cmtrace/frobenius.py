@@ -85,7 +85,13 @@ def ap_naive(D, p: int) -> int:
     total = 0
     for lo in range(0, p, _BLOCK):
         x = np.arange(lo, min(lo + _BLOCK, p), dtype=np.int64)
-        v = (x * x % p * x + dmod * x) % p
+        # x^3 + D*x = (x^2 + D)*x, in place so each block makes two arrays,
+        # not six; every intermediate stays below 2p^2 < 2^63
+        v = x * x
+        v %= p
+        v += dmod
+        v *= x
+        v %= p
         total += int(chi[v].sum(dtype=np.int64))
     a = -total
     assert a % 2 == 0 and a * a < 4 * p, (D, p, a)

@@ -169,18 +169,18 @@ class TwoSquares:
 
 
 def sqrt_minus_one(p: int) -> int:
-    """The smaller square root of -1 mod p, for prime p ≡ 1 (mod 4)."""
-    if p % 4 != 1:
-        raise PreconditionError(f"sqrt_minus_one wants p ≡ 1 (mod 4), got {p}")
+    """The smaller square root of -1 mod p, for prime p ≡ 1 (mod 4) below 2^64.
+
+    The one primality gate of the two-squares stack: two_squares and every
+    routine built on it reject a composite p here.
+    """
+    if p % 4 != 1 or not is_prime_u64(p):
+        raise PreconditionError(f"sqrt_minus_one wants a prime p ≡ 1 (mod 4), got {p}")
     e = (p - 1) // 2
     g = 2
     while pow(g, e, p) != p - 1:
         g += 1
-        if g == 100 and not is_prime_u64(p):
-            # a prime's least nonresidue is small; a composite may have none
-            raise PreconditionError(f"sqrt_minus_one: {p} is not prime")
     z = pow(g, (p - 1) // 4, p)
-    assert z * z % p == p - 1
     return min(z, p - z)
 
 
@@ -189,19 +189,15 @@ def two_squares(p: int) -> TwoSquares:
     """Normalized two-squares decomposition of a prime p ≡ 1 (mod 4).
 
     Cornacchia-style descent: run Euclid on (p, sqrt(-1) mod p); the first
-    remainder below sqrt(p) is the odd leg up to sign. Primality of p is the
-    caller's responsibility; the exactness check catches most abuse.
+    remainder below sqrt(p) is the odd leg up to sign. Any other p, a
+    composite or p >= 2^64 included, raises PreconditionError from
+    sqrt_minus_one.
     """
-    if p % 4 != 1 or p < 5:
-        raise PreconditionError(f"two_squares wants a prime ≡ 1 (mod 4), got {p}")
     a, b = p, sqrt_minus_one(p)
     while b * b > p:
         a, b = b, a % b
     x = b
-    y2 = p - x * x
-    y = isqrt(y2)
-    if y * y != y2:
-        raise PreconditionError(f"two_squares: {p} is not prime")
+    y = isqrt(p - x * x)
     if x % 2 == 0:
         x, y = y, x
     alpha = x if x % 4 == 1 else -x

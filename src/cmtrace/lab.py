@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import isqrt, log, sqrt
 
-from .density import DensityPair, density_formula, lt_constant
+from .density import DensityPair, _lt_constant, density_formula
 from .errors import PreconditionError
 from .frobenius import _ap_kernel
 from .primes import _U64_MAX, is_prime_u64
@@ -55,7 +55,12 @@ def lt_predict(D: int, r: int, N: int, prime_bound: int = 1_000_000) -> float:
     """Predicted count of primes p <= N with a_p = 2r: C * sqrt(N)/log N."""
     if N < 3:
         raise PreconditionError(f"lt_predict wants N >= 3, got {N}")
-    return lt_constant(D, r, prime_bound) * sqrt(N) / log(N)
+    return _lt_predict(density_formula(D, r), r, N, prime_bound)
+
+
+def _lt_predict(pair: DensityPair, r: int, N: int, prime_bound: int = 1_000_000) -> float:
+    # lt_predict on the density pair of (D, r), for callers that hold it
+    return _lt_constant(pair, r, prime_bound) * sqrt(N) / log(N)
 
 
 def _scan(D: int, r: int, ys: range) -> tuple[int, int, int, int]:
@@ -110,7 +115,7 @@ def sweep(D: int, r: int, N: int) -> SweepReport:
         empirical_minus=_sig6(n_minus / n_primes) if n_primes else 0.0,
         predicted=predicted,
         pi_lt=n_plus,
-        lt_predicted=_sig6(lt_predict(D, r, N)),
+        lt_predicted=_sig6(_lt_predict(predicted, r, N)),
         elapsed_seconds=_sig6(elapsed),
     )
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 
 from .errors import PreconditionError
+from .frobenius import _ap_kernel
 from .gaussian import (
     GI_ONE,
     GaussianInt,
@@ -61,19 +62,27 @@ class FourClass(enum.Enum):
     MINUS_BETA = "-beta"
 
 
+def _trace_class(a: int) -> FourClass:
+    """The class of a trace a = 2t of a prime p ≡ 1 (mod 4).
+
+    t is ±alpha or ±beta of the normalized split of p. alpha is odd and
+    ≡ 1 (mod 4), so an odd t picks its sign by t mod 4; beta is even and
+    positive, so an even t picks its sign by the sign of t.
+    """
+    t = a // 2
+    if t % 2:
+        return FourClass.PLUS_ALPHA if t % 4 == 1 else FourClass.MINUS_ALPHA
+    return FourClass.PLUS_BETA if t > 0 else FourClass.MINUS_BETA
+
+
 def legendre(a: int, p: int) -> int:
     """Quadratic residue symbol (a/p) in {-1, 0, 1} for an odd prime p."""
-    if p < 3 or p % 2 == 0:
+    if p < 3 or p % 2 == 0 or not is_prime_u64(p):
         raise PreconditionError(f"legendre wants an odd prime modulus, got {p}")
     a %= p
     if a == 0:
         return 0
-    t = pow(a, (p - 1) // 2, p)
-    if t == 1:
-        return 1
-    if t != p - 1:
-        raise PreconditionError(f"legendre: {p} is not prime")
-    return -1
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def _check_primary_prime(pi: GaussianInt, who: str) -> int:
@@ -133,24 +142,16 @@ def quartic_class_of(D: int, p: int) -> FourClass:
     """Which of {1, -1, beta/alpha, -beta/alpha} D^((p-1)/4) is mod p.
 
     beta/alpha is a square root of -1 mod p (alpha^2 + beta^2 ≡ 0), so for
-    any D coprime to p the four cases are exhaustive and exclusive.
+    any D coprime to p the four cases are exhaustive and exclusive. The
+    class is read off t = alpha * D^((p-1)/4) mod p, half the trace, which
+    is the member of ±alpha, ±beta that the class names.
     """
     if p % 4 != 1:
         raise PreconditionError(f"quartic_class_of wants p ≡ 1 (mod 4), got {p}")
     if D % p == 0:
         raise PreconditionError(f"quartic_class_of: p={p} divides D={D}")
     ts = two_squares(p)
-    c = pow(D % p, (p - 1) // 4, p)
-    if c == 1:
-        return FourClass.PLUS_ALPHA
-    if c == p - 1:
-        return FourClass.MINUS_ALPHA
-    ba = ts.beta * pow(ts.alpha % p, p - 2, p) % p
-    if c == ba:
-        return FourClass.PLUS_BETA
-    if c != p - ba:
-        raise PreconditionError(f"quartic_class_of: {p} is not prime")
-    return FourClass.MINUS_BETA
+    return _trace_class(_ap_kernel(D, ts.alpha, ts.beta))
 
 
 def two_quartic_class(p: int) -> FourClass:

@@ -5,8 +5,14 @@ from math import isqrt
 import pytest
 
 import cmtrace
-from cmtrace import arith, density, gaussian, lab, primes
-from cmtrace.density import density_formula, density_oracle, is_zero_pair, lt_constant
+from cmtrace import arith, density, gaussian, lab, primes, residue_symbols
+from cmtrace.density import (
+    density_formula,
+    density_oracle,
+    is_zero_pair,
+    lt_constant,
+    sigma_sums,
+)
 from cmtrace.errors import PreconditionError
 from cmtrace.frobenius import ap_fast
 from cmtrace.lab import (
@@ -264,9 +270,11 @@ def _log_calls(monkeypatch, fn):
 @pytest.mark.parametrize("r", [1, 2])
 def test_drivers_never_split(monkeypatch, r):
     log = _log_calls(monkeypatch, gaussian.two_squares)
+    value_log = _log_calls(monkeypatch, residue_symbols.quartic_value_of)
     assert sweep(-21, r, 10**6).n_primes > 0
     assert density_oracle(-21, r)[1].total > 0
-    assert log == []
+    assert sigma_sums(-21, r).sigma > 0
+    assert log == [] and value_log == []
     ap_fast(-21, 13)  # the public route still splits, and the log sees it
     assert log == [13]
 
@@ -281,10 +289,11 @@ def test_density_factors_D_twice(monkeypatch, D, r):
     assert len(log) == 4
 
 
-def test_sweep_factors_D_at_most_four_times(monkeypatch):
+def test_sweep_factors_D_twice(monkeypatch):
+    # the Lang-Trotter prediction reuses the sweep's density pair
     log = _log_calls(monkeypatch, arith.factorize)
     sweep(-21, 2, 10**5)
-    assert len(log) <= 4
+    assert len(log) == 2
 
 
 def test_cm_threads_is_one():

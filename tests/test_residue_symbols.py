@@ -6,14 +6,24 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cmtrace
 from cmtrace.density import DensityPair
 from cmtrace.errors import PreconditionError
-from cmtrace.gaussian import GaussianInt, TwoSquares, primary_prime_above, two_squares
+from cmtrace.frobenius import ap_naive
+from cmtrace.gaussian import (
+    GaussianInt,
+    TwoSquares,
+    primary_prime_above,
+    sqrt_minus_one,
+    two_squares,
+)
 from cmtrace.residue_symbols import (
     FourClass,
     QuarticValue,
+    _trace_class,
     class_to_value,
     legendre,
     quartic_class_of,
@@ -34,6 +44,11 @@ def test_legendre_examples():
         legendre(3, 4)
     with pytest.raises(PreconditionError):
         legendre(3, 2)
+    # a^((n-1)/2) ≡ 1 (mod n) for the Carmichael numbers 561 and 1729 at
+    # these bases; the modulus must itself be prime, and below 2^64
+    for a, n in ((2, 561), (2, 1729), (3, 1729), (2, 2**64 + 13)):
+        with pytest.raises(PreconditionError):
+            legendre(a, n)
 
 
 def test_legendre_vs_euler():
@@ -136,12 +151,43 @@ def test_quartic_class_examples():
         quartic_class_of(13, 13)
 
 
+# composites ≡ 1 (mod 4) that are sums of two squares: 5*17, 5^2*13,
+# 17*97 and 97*193, each of which slipped past at least one of the ad-hoc
+# checks the two-squares stack used before it gated on primality; and
+# 2^64 + 1, past the u64 range of the primality test.
+@pytest.mark.parametrize("n", [85, 325, 1649, 18721, 2**64 + 1])
+def test_two_squares_stack_rejects_composites(n):
+    for call in (
+        lambda: two_squares(n),
+        lambda: sqrt_minus_one(n),
+        lambda: two_quartic_class(n),
+        lambda: primary_prime_above(n),
+        lambda: quartic_class_of(3, n),
+        lambda: quartic_value_of(3, n),
+    ):
+        with pytest.raises(PreconditionError):
+            call()
+
+
+PRIMES_1_MOD_4 = [p for p in range(5, 10_001, 4) if trial_is_prime(p)]
+
+
+@settings(deadline=None)
+@given(p=st.sampled_from(PRIMES_1_MOD_4), D=st.integers(-10**6, 10**6))
+def test_quartic_class_is_class_of_point_count(p, D):
+    # the class is read off the trace, so it must name the point count's trace
+    assume(D % p != 0)
+    assert quartic_class_of(D, p) == _trace_class(ap_naive(D, p))
+
+
 # result guards: each call below must raise, with or without python -O
 _GUARDED = (
     "TwoSquares(13, 3, 2)",
     "DensityPair(Fraction(3), Fraction(-1))",
     "quartic_class_of(2, 85)",  # 85 = 5 * 17
+    "two_squares(85)",
     "legendre(2, 15)",
+    "legendre(2, 561)",  # 561 = 3 * 11 * 17, a Carmichael number
 )
 
 
@@ -157,7 +203,7 @@ def test_result_guards_raise():
 def test_result_guards_survive_python_O():
     script = "\n".join([
         "from fractions import Fraction",
-        "from cmtrace import DensityPair, PreconditionError, TwoSquares, quartic_class_of",
+        "from cmtrace import DensityPair, PreconditionError, TwoSquares, quartic_class_of, two_squares",
         "from cmtrace.residue_symbols import legendre",
         "for call in " + repr(_GUARDED) + ":",
         "    try:",
