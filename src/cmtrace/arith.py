@@ -9,6 +9,7 @@ ProgressionSet the residue classes the progression oracle walks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -22,11 +23,15 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| by trial division up to 10^6, n != 0.
 
     The cofactor left at that bound must be 1 or a prime below 2^64;
-    anything else raises PreconditionError instead of grinding on.
+    anything else raises PreconditionError instead of grinding on, and so
+    does a non-integer n.
     """
+    try:
+        n = abs(operator.index(n))
+    except TypeError:
+        raise PreconditionError(f"factorize wants an integer, got {n!r}") from None
     if n == 0:
         raise PreconditionError("factorize(0)")
-    n = abs(n)
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -183,8 +188,6 @@ def split_d(D: int, r: int) -> DSplit:
     fac_dbar = {l: e for l, e in fac.items() if l not in fac_d}
     d = prod(l**e for l, e in fac_d.items())
     dbar = D // d
-    assert d * dbar == D and gcd(d, dbar) == 1
-    assert all(r % l for l in fac_dbar if l != 2) and d % 2 == 1 and d > 0
     shape_d, shape_dbar = _shape(1, fac_d), _shape(1 if D > 0 else -1, fac_dbar)
     return DSplit(D=D, r=r, d=d, dbar=dbar, shape_d=shape_d, shape_dbar=shape_dbar)
 
@@ -224,7 +227,6 @@ def progression_set(D: int, r: int) -> ProgressionSet:
     )
     ks_odd = tuple(k for k in ks if k % 2 == 1)
     ks_even = tuple(k for k in ks if k % 2 == 0)
-    assert len(ks_odd) == len(ks_even), (D, r, ks)
     return ProgressionSet(D_abs=D_abs, r=r, ks=ks, ks_odd=ks_odd, ks_even=ks_even)
 
 
@@ -232,8 +234,9 @@ def reduce_quartic_twist(D: int) -> int:
     """Strip fourth powers from D; the curve's traces only see the result."""
     if D == 0:
         raise PreconditionError("reduce_quartic_twist(0)")
+    fac = factorize(D)  # first, so a non-integer D is rejected here
     out = 1 if D > 0 else -1
-    for l, e in factorize(D).items():
+    for l, e in fac.items():
         out *= l ** (e % 4)
     return out
 

@@ -10,6 +10,7 @@ D^((p-1)/4) mod p. The whole point of this module is that the three must agree.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,10 @@ class CurveD:
 
 
 def _coeff(D) -> int:
-    d = D.D if isinstance(D, CurveD) else int(D)
+    try:
+        d = operator.index(D.D if isinstance(D, CurveD) else D)
+    except TypeError:
+        raise PreconditionError(f"D must be an integer, got {D!r}") from None
     if d == 0:
         raise PreconditionError("D = 0 is singular")
     return d
@@ -94,7 +98,8 @@ def ap_naive(D, p: int) -> int:
         v %= p
         total += int(chi[v].sum(dtype=np.int64))
     a = -total
-    assert a % 2 == 0 and a * a < 4 * p, (D, p, a)
+    if a % 2 or a * a >= 4 * p:
+        raise AssertionError(f"ap_naive({D}, {p}) = {a} breaks parity or the Hasse bound")
     return a
 
 
@@ -121,7 +126,8 @@ def ap_binomial_residue(p: int) -> int:
     c = num * pow(den, p - 2, p) % p
     if c > p // 2:
         c -= p
-    assert c % 8 == 2, (p, c)  # 2*alpha with alpha ≡ 1 (mod 4)
+    if c % 8 != 2:  # 2*alpha with alpha ≡ 1 (mod 4)
+        raise AssertionError(f"ap_binomial_residue({p}) = {c} is not ≡ 2 (mod 8)")
     return c
 
 
@@ -129,16 +135,17 @@ def ap_fast(D, p: int) -> int:
     """a_p via the quartic class of D, O(log p) after the two-squares split.
 
     p ≡ 3 (mod 4) is supersingular (trace 0). Otherwise p = alpha^2 + beta^2
-    and the class of D^((p-1)/4) picks the trace out of ±2*alpha, ±2*beta.
+    and the class of D^((p-1)/4) picks the trace out of ±2*alpha, ±2*beta;
+    two_squares is then the primality test of p.
     """
     D = _coeff(D)
     _check_good_reduction(D, p)
-    if p < 3 or not is_prime_u64(p):
+    if p % 4 == 1:
+        ts = two_squares(p)
+        return _ap_kernel(D, ts.alpha, ts.beta)
+    if p % 4 != 3 or not is_prime_u64(p):
         raise PreconditionError(f"ap_fast wants an odd prime, got {p}")
-    if p % 4 == 3:
-        return 0
-    ts = two_squares(p)
-    return _ap_kernel(D, ts.alpha, ts.beta)
+    return 0
 
 
 def _ap_kernel(D: int, x: int, y: int) -> int:

@@ -81,7 +81,8 @@ def gi_divmod(a: GaussianInt, b: GaussianInt) -> tuple[GaussianInt, GaussianInt]
     t = a * b.conj()
     q = GaussianInt(_round_half_down(t.re, n), _round_half_down(t.im, n))
     r = a - q * b
-    assert r.norm() * 2 <= n, (a, b, q, r)
+    if r.norm() * 2 > n:
+        raise AssertionError(f"gi_divmod({a}, {b}): remainder {r} too large")
     return q, r
 
 
@@ -150,7 +151,6 @@ def gi_gcd(a: GaussianInt, b: GaussianInt) -> GaussianInt:
         if w.re > 0 and w.im >= 0:
             break
         w = GI_I * w
-    assert w.re > 0 and w.im >= 0
     return w
 
 
@@ -176,11 +176,10 @@ def sqrt_minus_one(p: int) -> int:
     """
     if p % 4 != 1 or not is_prime_u64(p):
         raise PreconditionError(f"sqrt_minus_one wants a prime p ≡ 1 (mod 4), got {p}")
-    e = (p - 1) // 2
+    e = (p - 1) // 4
     g = 2
-    while pow(g, e, p) != p - 1:
+    while (z := pow(g, e, p)) * z % p != p - 1:
         g += 1
-    z = pow(g, (p - 1) // 4, p)
     return min(z, p - z)
 
 
@@ -214,6 +213,4 @@ def primary_prime_above(p: int) -> GaussianInt:
     """
     ts = two_squares(p)
     re = ts.alpha if ts.beta % 4 == 0 else -ts.alpha
-    g = GaussianInt(re, ts.beta)
-    assert is_primary(g)
-    return g
+    return GaussianInt(re, ts.beta)

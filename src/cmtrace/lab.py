@@ -98,10 +98,10 @@ def sweep(D: int, r: int, N: int) -> SweepReport:
     if N > _U64_MAX:
         raise PreconditionError(f"sweep: N={N} exceeds the u64 range")
     t0 = time.perf_counter()
+    predicted = density_formula(D, r)  # first: it rejects a non-integer D
     y_max = isqrt(N - r * r)
     y0 = 2 if r % 2 else 1
     n_primes, n_plus, n_minus, n_other = _scan(D, r, range(y0, y_max + 1, 2))
-    predicted = density_formula(D, r)
     elapsed = time.perf_counter() - t0
     return SweepReport(
         D=D,

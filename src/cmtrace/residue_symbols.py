@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 
 from .errors import PreconditionError
-from .frobenius import _ap_kernel
+from .frobenius import ap_fast
 from .gaussian import (
     GI_ONE,
     GaussianInt,
@@ -85,19 +85,17 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _check_primary_prime(pi: GaussianInt, who: str) -> int:
-    """Validate that pi is a primary Gaussian prime not dividing 2; return its norm."""
+def _check_primary_prime(pi: GaussianInt) -> int:
+    """Validate that pi is a primary Gaussian prime (so odd); return its norm."""
     if not is_primary(pi):
-        raise PreconditionError(f"{who}: {pi} is not primary")
+        raise PreconditionError(f"quartic_symbol: {pi} is not primary")
     n = pi.norm()
-    if n % 2 == 0:
-        raise PreconditionError(f"{who}: {pi} divides 2")
     if pi.im == 0:
         q = abs(pi.re)
         if not (q % 4 == 3 and is_prime_u64(q)):
-            raise PreconditionError(f"{who}: {pi} is not prime")
+            raise PreconditionError(f"quartic_symbol: {pi} is not prime")
     elif not is_prime_u64(n):
-        raise PreconditionError(f"{who}: {pi} is not prime")
+        raise PreconditionError(f"quartic_symbol: {pi} is not prime")
     return n
 
 
@@ -108,32 +106,27 @@ def quartic_symbol(lam: GaussianInt, pi: GaussianInt) -> QuarticValue:
     to pi. Computed honestly in the quotient ring, one reduction per
     multiply, no shortcuts through F_p.
     """
-    n = _check_primary_prime(pi, "quartic_symbol")
+    n = _check_primary_prime(pi)
     if gi_gcd(lam, pi) != GI_ONE:
         raise PreconditionError(f"quartic_symbol: {lam} shares a factor with {pi}")
     w = gi_powmod(lam, (n - 1) // 4, pi)
-    hit = None
-    for val in QuarticValue:
-        if gi_mod(w - val.to_gaussian(), pi).is_zero():
-            assert hit is None
-            hit = val
-    assert hit is not None, (lam, pi, w)
-    return hit
+    hits = [val for val in QuarticValue if gi_mod(w - val.to_gaussian(), pi).is_zero()]
+    if len(hits) != 1:
+        raise AssertionError(f"quartic_symbol({lam}, {pi}): {w} is not one unit mod pi")
+    return hits[0]
 
 
 def reciprocity_check(lam: GaussianInt, pi: GaussianInt) -> bool:
     """Check biquadratic reciprocity for a pair of distinct primary primes.
 
     (lam/pi) must equal (pi/lam) * (-1)^(((N(lam)-1)/4) * ((N(pi)-1)/4)).
-    Returns True when the identity holds.
+    Returns True when the identity holds. The two quartic_symbol calls
+    validate the arguments: the first checks pi and coprimality, the
+    second lam.
     """
-    nl = _check_primary_prime(lam, "reciprocity_check")
-    npi = _check_primary_prime(pi, "reciprocity_check")
-    if gi_gcd(lam, pi) != GI_ONE:
-        raise PreconditionError("reciprocity_check wants coprime arguments")
     lhs = quartic_symbol(lam, pi)
     rhs = quartic_symbol(pi, lam)
-    if ((nl - 1) // 4) * ((npi - 1) // 4) % 2 == 1:
+    if ((lam.norm() - 1) // 4) * ((pi.norm() - 1) // 4) % 2 == 1:
         rhs = rhs * QuarticValue.MINUS_ONE
     return lhs == rhs
 
@@ -144,14 +137,12 @@ def quartic_class_of(D: int, p: int) -> FourClass:
     beta/alpha is a square root of -1 mod p (alpha^2 + beta^2 ≡ 0), so for
     any D coprime to p the four cases are exhaustive and exclusive. The
     class is read off t = alpha * D^((p-1)/4) mod p, half the trace, which
-    is the member of ±alpha, ±beta that the class names.
+    is the member of ±alpha, ±beta that the class names: the class of
+    ap_fast's trace.
     """
     if p % 4 != 1:
         raise PreconditionError(f"quartic_class_of wants p ≡ 1 (mod 4), got {p}")
-    if D % p == 0:
-        raise PreconditionError(f"quartic_class_of: p={p} divides D={D}")
-    ts = two_squares(p)
-    return _trace_class(_ap_kernel(D, ts.alpha, ts.beta))
+    return _trace_class(ap_fast(D, p))
 
 
 def two_quartic_class(p: int) -> FourClass:

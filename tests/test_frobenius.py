@@ -95,6 +95,15 @@ def test_ap_fast_examples():
     assert ap_fast(7, 11) == 0  # supersingular
 
 
+@pytest.mark.parametrize("D, p", [(2, n) for n in (85, 15, 1, 4, -3, 2**64 + 1, 13.0)] + [(13, 13)])
+def test_ap_fast_rejects(D, p):
+    # p ≡ 1 (mod 4) is tested by two_squares; its cache must not answer
+    # 13.0 with the 13 it holds
+    assert ap_fast(2, 13) == 4
+    with pytest.raises(PreconditionError):
+        ap_fast(D, p)
+
+
 def test_beta_sign_calibration():
     # the ±beta classes give ±2*beta with no extra sign; a failure here means
     # the class-to-trace dictionary moved and every density is suspect.
@@ -123,6 +132,17 @@ def test_ap_fast_vs_naive_battery():
             if (2 * D) % p == 0:
                 continue
             assert ap_fast(D, p) == ap_naive(D, p), (D, p)
+
+
+ODD_PRIMES_10K = [p for p in range(3, 10_001, 2) if trial_is_prime(p)]
+
+
+@settings(deadline=None)
+@given(p=st.sampled_from(ODD_PRIMES_10K), D=st.integers(-10**6, 10**6))
+def test_ap_fast_matches_naive(p, D):
+    # p of both residues mod 4: the two_squares branch and the trace-0 one
+    assume(D % p != 0)
+    assert ap_fast(D, p) == ap_naive(D, p)
 
 
 # (odd leg, even leg) of every prime x^2 + y^2 <= 10^5, found by trial division

@@ -2,6 +2,7 @@ import json
 import sys
 from math import isqrt
 
+import numpy as np
 import pytest
 
 import cmtrace
@@ -14,7 +15,7 @@ from cmtrace.density import (
     sigma_sums,
 )
 from cmtrace.errors import PreconditionError
-from cmtrace.frobenius import ap_fast
+from cmtrace.frobenius import ap_fast, ap_naive
 from cmtrace.lab import (
     SweepReport,
     lt_predict,
@@ -294,6 +295,50 @@ def test_sweep_factors_D_twice(monkeypatch):
     log = _log_calls(monkeypatch, arith.factorize)
     sweep(-21, 2, 10**5)
     assert len(log) == 2
+
+
+def test_each_trace_route_tests_p_once(monkeypatch):
+    # ap_fast leaves p ≡ 1 (mod 4) to two_squares' gate, and
+    # reciprocity_check leaves its arguments to quartic_symbol's checks
+    p1, p3 = 10**6 + 33, 10**6 + 3
+    assert (p1 % 4, p3 % 4) == (1, 3)
+    gaussian.two_squares.cache_clear()
+    lam, pi = gaussian.primary_prime_above(13), gaussian.primary_prime_above(17)
+    log = _log_calls(monkeypatch, primes.is_prime_u64)
+    ap_fast(-21, p1)
+    assert log == [p1]
+    ap_fast(-21, p1)
+    assert log == [p1]
+    ap_fast(-21, p3)
+    assert log == [p1, p3]
+    del log[:]
+    assert residue_symbols.reciprocity_check(lam, pi)
+    assert sorted(log) == [13, 17]
+
+
+# ---------------------------------------------------------------------------
+# a non-integer D is an error, not the trace of int(D)
+
+_D_ROUTES = {
+    "ap_naive": lambda D: ap_naive(D, 13),
+    "ap_fast": lambda D: ap_fast(D, 13),
+    "density_formula": lambda D: density_formula(D, 1),
+    "density_oracle": lambda D: density_oracle(D, 1),
+    "is_zero_pair": lambda D: is_zero_pair(D, 1),
+    "sweep": lambda D: sweep(D, 1, 10**4),
+}
+
+
+@pytest.mark.parametrize("D", [2.5, "2"])
+@pytest.mark.parametrize("route", list(_D_ROUTES))
+def test_non_integer_D_rejected(route, D):
+    with pytest.raises(PreconditionError):
+        _D_ROUTES[route](D)
+
+
+def test_numpy_integer_D_accepted():
+    for route in ("ap_naive", "ap_fast", "density_formula"):
+        assert _D_ROUTES[route](np.int64(2)) == _D_ROUTES[route](2), route
 
 
 def test_cm_threads_is_one():

@@ -141,6 +141,22 @@ def test_reciprocity_random():
         done += 1
 
 
+@pytest.mark.parametrize("bad", [
+    GaussianInt(-1, 4),  # a prime of norm 17, but ≡ (3, 0) mod 4, so not primary
+    GaussianInt(-7, 4),  # primary, norm 65 = 5 * 13
+    GaussianInt(1, 4),  # the other argument itself, so a shared factor
+    GaussianInt(1, 1),  # 1+i, the prime over 2
+])
+def test_reciprocity_check_rejects(bad):
+    # validated by quartic_symbol: the first call checks pi and
+    # coprimality, the second lam
+    good = GaussianInt(1, 4)
+    with pytest.raises(PreconditionError):
+        reciprocity_check(bad, good)
+    with pytest.raises(PreconditionError):
+        reciprocity_check(good, bad)
+
+
 def test_quartic_class_examples():
     assert quartic_class_of(1, 13) == FourClass.PLUS_ALPHA
     assert quartic_class_of(2, 17) == FourClass.MINUS_ALPHA
@@ -149,6 +165,10 @@ def test_quartic_class_examples():
         quartic_class_of(2, 7)
     with pytest.raises(PreconditionError):
         quartic_class_of(13, 13)
+    with pytest.raises(PreconditionError):
+        quartic_class_of(0, 13)
+    with pytest.raises(PreconditionError):
+        quartic_class_of(2.5, 13)
 
 
 # composites ≡ 1 (mod 4) that are sums of two squares: 5*17, 5^2*13,
@@ -200,16 +220,39 @@ def test_result_guards_raise():
         quartic_class_of(2, 85)
 
 
+# internal guards: with the helper each one checks broken, each call below
+# must raise AssertionError, with or without python -O
+_BROKEN = (
+    ("frobenius", "_chi_table", "lambda p: np.ones(p, dtype=np.int8)",
+     "frobenius.ap_naive(2, 13)"),
+    ("frobenius", "pow", "lambda *a: 0", "frobenius.ap_binomial_residue(13)"),
+    ("gaussian", "_round_half_down", "lambda x, n: 0",
+     "gaussian.gi_divmod(GaussianInt(10, 0), GaussianInt(3, 2))"),
+    ("residue_symbols", "gi_powmod", "lambda *a: GaussianInt(2, 0)",
+     "residue_symbols.quartic_symbol(GaussianInt(1, 4), GaussianInt(3, 2))"),
+)
+
+
 def test_result_guards_survive_python_O():
     script = "\n".join([
         "from fractions import Fraction",
+        "from unittest import mock",
+        "import numpy as np",
         "from cmtrace import DensityPair, PreconditionError, TwoSquares, quartic_class_of, two_squares",
+        "from cmtrace import frobenius, gaussian, residue_symbols",
+        "from cmtrace.gaussian import GaussianInt",
         "from cmtrace.residue_symbols import legendre",
         "for call in " + repr(_GUARDED) + ":",
         "    try:",
         "        print(call, 'returned', eval(call))",
         "    except PreconditionError:",
         "        print(call, 'raised')",
+        "for mod, attr, fake, call in " + repr(_BROKEN) + ":",
+        "    with mock.patch.object(eval(mod), attr, eval(fake), create=True):",
+        "        try:",
+        "            print(call, 'returned', eval(call))",
+        "        except AssertionError:",
+        "            print(call, 'raised')",
     ])
     src = str(Path(cmtrace.__file__).resolve().parent.parent)
     out = subprocess.run(
@@ -217,7 +260,8 @@ def test_result_guards_survive_python_O():
         capture_output=True, text=True, timeout=60, check=True,
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
-    assert out.splitlines() == [f"{call} raised" for call in _GUARDED]
+    calls = list(_GUARDED) + [case[-1] for case in _BROKEN]
+    assert out.splitlines() == [f"{call} raised" for call in calls]
 
 
 def test_two_quartic_class_examples():
