@@ -9,11 +9,10 @@ ProgressionSet the residue classes the progression oracle walks.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _as_int
 from .primes import _U64_MAX, is_prime_u64
 
 _TRIAL_BOUND = 10**6
@@ -26,10 +25,7 @@ def factorize(n: int) -> dict[int, int]:
     anything else raises PreconditionError instead of grinding on, and so
     does a non-integer n.
     """
-    try:
-        n = abs(operator.index(n))
-    except TypeError:
-        raise PreconditionError(f"factorize wants an integer, got {n!r}") from None
+    n = abs(_as_int(n, "factorize: n"))
     if n == 0:
         raise PreconditionError("factorize(0)")
     out: dict[int, int] = {}

@@ -1,13 +1,23 @@
-"""Exceptions shared across the package.
+"""Exceptions shared across the package, and the integer check of the entry points.
 
 Precondition violations are user-facing (bad arguments, out-of-range inputs)
 and map to CLI exit code 2. Anything else that escapes is an internal bug and
 exits 1 like any uncaught Python error.
 """
 
+import operator
+
 
 class PreconditionError(ValueError):
     """An input violated a documented precondition."""
+
+
+def _as_int(value, what: str) -> int:
+    """value as a Python int (numpy integers included), else PreconditionError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
 
 
 class NoRepresentativeFound(PreconditionError):

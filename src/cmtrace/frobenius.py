@@ -10,13 +10,12 @@ D^((p-1)/4) mod p. The whole point of this module is that the three must agree.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import reduce_quartic_twist  # re-exported as part of this surface
-from .errors import PreconditionError
+from .errors import PreconditionError, _as_int
 from .gaussian import two_squares
 from .primes import is_prime_u64
 
@@ -46,10 +45,7 @@ class CurveD:
 
 
 def _coeff(D) -> int:
-    try:
-        d = operator.index(D.D if isinstance(D, CurveD) else D)
-    except TypeError:
-        raise PreconditionError(f"D must be an integer, got {D!r}") from None
+    d = _as_int(D.D if isinstance(D, CurveD) else D, "D")
     if d == 0:
         raise PreconditionError("D = 0 is singular")
     return d

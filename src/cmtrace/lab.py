@@ -1,9 +1,11 @@
 """Empirical side: sweeps over p = r^2 + y^2 <= N and report plumbing.
 
-A sweep enumerates every candidate prime with the right fixed leg r,
-classifies its trace, and packages the tallies next to the closed-form
-prediction and the Lang-Trotter style count prediction, so one report
-carries everything needed to eyeball (or assert) agreement.
+A sweep finds every prime p = r^2 + y^2 <= N with the fixed leg r by a
+quadratic-polynomial sieve over the legs y (Crandall & Pomerance, Prime
+Numbers, section 3.2), classifies each prime's trace on its legs, and
+packages the tallies next to the closed-form prediction and the
+Lang-Trotter style count prediction, so one report carries everything
+needed to eyeball (or assert) agreement.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import isqrt, log, sqrt
 
+import numpy as np
+
 from .density import DensityPair, _lt_constant, density_formula
-from .errors import PreconditionError
+from .errors import PreconditionError, _as_int
 from .frobenius import _ap_kernel
-from .primes import _U64_MAX, is_prime_u64
+from .primes import _pow_mod_array, is_prime_u64, sieve_primes
 
 __all__ = [
     "SweepReport",
@@ -27,6 +31,10 @@ __all__ = [
     "lt_predict",
     "report_emit",
 ]
+
+
+# sieving to isqrt(N) needs sieve_primes, which stops at 10^9
+_N_MAX = 10**18
 
 
 def _sig6(x: float) -> float:
@@ -63,16 +71,67 @@ def _lt_predict(pair: DensityPair, r: int, N: int, prime_bound: int = 1_000_000)
     return _lt_constant(pair, r, prime_bound) * sqrt(N) / log(N)
 
 
-def _scan(D: int, r: int, ys: range) -> tuple[int, int, int, int]:
+def _sqrt_minus_one_mod(q: np.ndarray) -> np.ndarray:
+    """A square root of -1 modulo each prime q ≡ 1 (mod 4), as int64.
+
+    g^((q-1)/4) is one for any non-residue g; the least non-residue of q
+    is below sqrt(q) + 1, so counting g up from 2 finds it while g < q.
+    """
+    root = np.empty_like(q)
+    todo = np.arange(q.size)
+    g = 2
+    while todo.size:
+        qt = q[todo]
+        z = _pow_mod_array(np.full_like(qt, g), (qt - 1) >> 2, qt)
+        hit = z * z % qt == qt - 1
+        root[todo[hit]] = z[hit]
+        todo = todo[~hit]
+        g += 1
+    return root
+
+
+def _scan(D: int, r: int, N: int) -> tuple[int, int, int, int]:
+    """Tallies over the primes p = r^2 + y^2 <= N not dividing 2D.
+
+    y > 0 runs over the parity opposite to r (no other y can make p prime
+    or even odd), as y = y0 + 2j for 0 <= j < n. An odd prime q divides
+    r^2 + y^2 exactly when q | r and q | y, or when q ≡ 1 (mod 4) and
+    y ≡ ±r*sqrt(-1) (mod q); the sieve marks those j for every odd
+    q <= isqrt(N). A composite p <= N has a prime factor <= isqrt(N), so
+    every unmarked p > isqrt(N) is prime. The few p <= isqrt(N), which may
+    be a sieving prime themselves, are tested directly.
+    """
     r2 = r * r
+    y0 = 2 if r % 2 else 1
+    root = isqrt(N)
+
+    def legs_up_to(y_max: int) -> int:
+        return max(0, (y_max - y0) // 2 + 1)
+
+    n = legs_up_to(isqrt(N - r2))
+    n_small = legs_up_to(isqrt(root - r2)) if root > r2 else 0
+    q = sieve_primes(root)[1:]
+    rq = r % q
+    div = q[rq == 0]
+    split = (q % 4 == 1) & (rq != 0)
+    qs = q[split]
+    ri = rq[split] * _sqrt_minus_one_mod(qs) % qs
+    steps = np.concatenate((div, qs, qs))
+    ys = np.concatenate((np.zeros_like(div), ri, qs - ri))
+    starts = (ys - y0) % steps * ((steps + 1) >> 1) % steps  # j = (y - y0)/2 mod q
+    keep = starts < n
+    composite = np.zeros(n, dtype=bool)
+    for j, step in zip(starts[keep].tolist(), steps[keep].tolist()):
+        composite[j::step] = True
+    composite[:n_small] = True
+    legs = [y for y in range(y0, y0 + 2 * n_small, 2) if is_prime_u64(r2 + y * y)]
+    legs += (np.flatnonzero(~composite) * 2 + y0).tolist()
+
     n_primes = n_plus = n_minus = n_other = 0
     twoD = 2 * abs(D)
     target = 2 * r
-    for y in ys:
-        p = r2 + y * y
-        if not is_prime_u64(p):
-            continue
-        if twoD % p == 0:
+    for y in legs:
+        if twoD % (r2 + y * y) == 0:
             continue  # bad reduction for the caller's curve
         a = _ap_kernel(D, r, y)
         n_primes += 1
@@ -89,19 +148,21 @@ def sweep(D: int, r: int, N: int) -> SweepReport:
     """Exhaustive classification of primes p = r^2 + y^2 <= N.
 
     y runs over the parity opposite to r (no other y can make p prime or
-    even odd). Primes dividing 2D are excluded from every tally.
+    even odd). Primes dividing 2D are excluded from every tally. The sieve
+    needs every prime up to isqrt(N), so N is capped at 10^18.
     """
+    D = _as_int(D, "sweep: D")
+    r = _as_int(r, "sweep: r")
+    N = _as_int(N, "sweep: N")
     if D == 0 or r == 0:
         raise PreconditionError("sweep wants nonzero D and r")
     if N < r * r + 1:
         raise PreconditionError(f"sweep: N={N} below r^2+1={r * r + 1}")
-    if N > _U64_MAX:
-        raise PreconditionError(f"sweep: N={N} exceeds the u64 range")
+    if N > _N_MAX:
+        raise PreconditionError(f"sweep: N={N} exceeds {_N_MAX}")
     t0 = time.perf_counter()
-    predicted = density_formula(D, r)  # first: it rejects a non-integer D
-    y_max = isqrt(N - r * r)
-    y0 = 2 if r % 2 else 1
-    n_primes, n_plus, n_minus, n_other = _scan(D, r, range(y0, y_max + 1, 2))
+    predicted = density_formula(D, r)
+    n_primes, n_plus, n_minus, n_other = _scan(D, r, N)
     elapsed = time.perf_counter() - t0
     return SweepReport(
         D=D,

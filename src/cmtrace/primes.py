@@ -1,8 +1,9 @@
 """Primality and prime enumeration.
 
-Two consumers with very different profiles share this module: sweeps need
-millions of one-off primality tests on numbers up to ~10^9, and the
-Hardy-Littlewood Euler products need every prime below a bound in order.
+is_prime_u64 answers one-off primality questions. sieve_primes gives every
+prime below a bound, in order, to the sweep's polynomial sieve and the
+Hardy-Littlewood Euler products, which also share the elementwise modular
+power below.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from .errors import PreconditionError
 
-try:  # optional speedup, semantics identical (same witness set)
+try:  # optional speedup, semantics identical (same witness sets)
     import gmpy2 as _gmpy2
 except ImportError:  # pragma: no cover - environment dependent
     _gmpy2 = None
@@ -21,6 +22,10 @@ _U64_MAX = (1 << 64) - 1
 # Deterministic Miller-Rabin witnesses: correct for every n < 3.317e24,
 # which covers the full u64 range with a wide margin.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Below this bound {2, 7, 61} suffice (Jaeschke 1993); the bound itself,
+# 48781 * 97561, is a strong pseudoprime to all three, so the test is strict.
+_MR_SMALL_BOUND = 4_759_123_141
+_MR_SMALL_BASES = (2, 7, 61)
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -56,14 +61,15 @@ def is_prime_u64(n: int) -> bool:
             return False
     # n > 97^2 would be needed for trial division alone; everything surviving
     # to here is > 97 and coprime to all bases, so MR is clean.
+    bases = _MR_SMALL_BASES if n < _MR_SMALL_BOUND else _MR_BASES
     if _gmpy2 is not None:
-        return all(_gmpy2.is_strong_prp(n, a) for a in _MR_BASES)
+        return all(_gmpy2.is_strong_prp(n, a) for a in bases)
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    return not any(_mr_composite(n, a, d, s) for a in _MR_BASES)
+    return not any(_mr_composite(n, a, d, s) for a in bases)
 
 
 def sieve_primes(bound: int) -> np.ndarray:
@@ -78,3 +84,18 @@ def sieve_primes(bound: int) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.nonzero(mask)[0].astype(np.int64)
+
+
+def _pow_mod_array(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base**exp % mod elementwise on int64 arrays, 0 <= base < mod < 3.03e9.
+
+    Every product of two residues stays below mod^2 < 2^63, so the
+    square-and-multiply ladder is exact.
+    """
+    result = np.ones_like(mod)
+    while True:
+        result = np.where(exp & 1, result * base % mod, result)
+        exp = exp >> 1
+        if not exp.any():
+            return result
+        base = base * base % mod

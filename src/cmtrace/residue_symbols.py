@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _as_int
 from .frobenius import ap_fast
 from .gaussian import (
     GI_ONE,
@@ -77,6 +77,8 @@ def _trace_class(a: int) -> FourClass:
 
 def legendre(a: int, p: int) -> int:
     """Quadratic residue symbol (a/p) in {-1, 0, 1} for an odd prime p."""
+    a = _as_int(a, "legendre: a")
+    p = _as_int(p, "legendre: p")
     if p < 3 or p % 2 == 0 or not is_prime_u64(p):
         raise PreconditionError(f"legendre wants an odd prime modulus, got {p}")
     a %= p

@@ -5,7 +5,7 @@ the implementations a skeptic would write, and the tests treat disagreement
 with them as the package's problem.
 """
 
-from math import isqrt
+from math import gcd, isqrt, sqrt
 
 
 def trial_is_prime(n: int) -> bool:
@@ -59,3 +59,38 @@ def slow_prime_count_quadratic(a: int, b: int, c: int, n: int) -> int:
             found.add(v)
         x += 1
     return len(found)
+
+
+def primes_up_to(n: int) -> list[int]:
+    """Sieve of Eratosthenes on a bytearray: every prime <= n, in order."""
+    if n < 2:
+        return []
+    mark = bytearray([1]) * (n + 1)
+    mark[0] = mark[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if mark[p]:
+            mark[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if mark[p]]
+
+
+def slow_hl_delta(a: int, b: int, c: int, prime_bound: int) -> float:
+    """Truncated Hardy-Littlewood constant of a x^2 + b x + c, one prime at a time.
+
+    gcd(2, a+b)/sqrt(a), times p/(p-1) at each odd p dividing a and b,
+    times 1 - (disc/p)/(p-1) at each odd p not dividing a, multiplied in
+    prime order with the Legendre symbol from Euler's criterion.
+    """
+    value = gcd(2, a + b) / sqrt(a)
+    disc = b * b - 4 * a * c
+    for p in primes_up_to(prime_bound)[1:]:
+        if a % p == 0:
+            if b % p == 0:
+                value *= p / (p - 1)
+            continue
+        d = disc % p
+        if d == 0:
+            leg = 0
+        else:
+            leg = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
+        value *= 1 - leg / (p - 1)
+    return value

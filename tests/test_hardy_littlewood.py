@@ -2,7 +2,7 @@ import pytest
 
 from cmtrace.errors import PreconditionError
 from cmtrace.hardy_littlewood import HLPoly, hl_admissible, hl_count, hl_delta
-from oracles import slow_prime_count_quadratic
+from oracles import slow_hl_delta, slow_prime_count_quadratic
 
 
 def test_poly_basics():
@@ -57,11 +57,38 @@ def test_delta_parity_and_leading_factors():
     assert abs(a - b) < 1e-9
 
 
+# p | a; p | a and p | b (3 for 9x^2+3x+1, 5 for 15x^2+5x+1); coefficients
+# at or above 2^63; negative and positive discriminants
+_ORACLE_POLYS = (
+    (1, 0, 1),
+    (3, 1, 1),
+    (9, 3, 1),
+    (15, 5, 1),
+    (1, 0, 2**64 + 1),
+    (2**63 + 1, 1, 1),
+    (1, 2**70, 3),
+    (7, -(2**64) - 1, -(2**63) - 5),
+    (1, 1, -1),
+    (2, 3, -1),
+)
+
+
+@pytest.mark.parametrize("bound", [3, 1000, 10**6])
+@pytest.mark.parametrize("f", _ORACLE_POLYS)
+def test_delta_equals_scalar_product(f, bound):
+    # the vectorized product must be the scalar loop's value, bit for bit
+    assert hl_admissible(f)
+    assert hl_delta(f, bound) == slow_hl_delta(*f, bound)
+
+
 def test_delta_rejects():
     with pytest.raises(PreconditionError):
         hl_delta((1, 0, -1))
     with pytest.raises(PreconditionError):
         hl_delta((1, 0, 1), prime_bound=2)
+    for f, bound in (((1.5, 0, 1), 1000), ((1, 0, "1"), 1000), ((1, 0, 1), 1000.0)):
+        with pytest.raises(PreconditionError):
+            hl_delta(f, bound)
 
 
 def test_count_examples():
@@ -87,6 +114,10 @@ def test_count_vs_slow_oracle():
 def test_count_negative_n_rejects():
     with pytest.raises(PreconditionError):
         hl_count((1, 0, 1), -1)
+    # a non-integer bound or coefficient is an error, not a count
+    for coeffs, n in (((1, 0, 1), 10.5), ((1, 0, 1.0), 10), ((1, 0, 1), "10")):
+        with pytest.raises(PreconditionError):
+            hl_count(coeffs, n)
     # a <= 0: f(x) never leaves [0, n] for good, so the scan would not end
     for coeffs in ((-1, 0, 5), (0, 0, 5), (0, -1, 7)):
         with pytest.raises(PreconditionError):

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import sys
 from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cmtrace
 from cmtrace import arith, density, gaussian, lab, primes, residue_symbols
@@ -15,7 +18,7 @@ from cmtrace.density import (
     sigma_sums,
 )
 from cmtrace.errors import PreconditionError
-from cmtrace.frobenius import ap_fast, ap_naive
+from cmtrace.frobenius import _ap_kernel, ap_fast, ap_naive
 from cmtrace.lab import (
     SweepReport,
     lt_predict,
@@ -24,7 +27,7 @@ from cmtrace.lab import (
     sweep,
 )
 from cmtrace.primes import is_prime_u64
-from oracles import brute_ap, trial_is_prime
+from oracles import brute_ap, primes_up_to, trial_is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +54,26 @@ def test_is_prime_u64_strong_pseudoprimes():
 
 def test_is_prime_u64_vs_trial_division():
     for n in range(10_000):
+        assert is_prime_u64(n) == trial_is_prime(n), n
+
+
+def test_is_prime_u64_vs_sieve():
+    # every n <= 2*10^6 runs the three-base test {2, 7, 61}
+    is_p = bytearray(2 * 10**6 + 1)
+    for p in primes_up_to(2 * 10**6):
+        is_p[p] = 1
+    assert [n for n in range(len(is_p)) if is_prime_u64(n) != is_p[n]] == []
+
+
+def test_is_prime_u64_three_base_bound():
+    # {2, 7, 61} decide every n < B; B = 48781 * 97561 is itself a strong
+    # pseudoprime to all three, so it must get the twelve bases
+    B = 4_759_123_141
+    assert B == 48_781 * 97_561
+    assert not is_prime_u64(B)
+    assert is_prime_u64(B - 20) and is_prime_u64(B + 10)
+    assert not is_prime_u64(B - 1) and not is_prime_u64(B + 1)
+    for n in range(B - 300, B + 300):
         assert is_prime_u64(n) == trial_is_prime(n), n
 
 
@@ -132,6 +155,78 @@ def test_sweep_rejects():
         sweep(1, 5, 25)  # N below r^2 + 1
     with pytest.raises(PreconditionError):
         sweep(1, 1, 1 << 65)
+    # the sieve needs every prime <= isqrt(N), and sieve_primes stops at 10^9
+    with pytest.raises(PreconditionError):
+        sweep(1, 1, 10**18 + 1)
+    for bad in ((1, 1.0, 100), (1, 1, 100.5), (1, "1", 100)):
+        with pytest.raises(PreconditionError):
+            sweep(*bad)
+
+
+# ---------------------------------------------------------------------------
+# the sieve against the per-candidate scan it replaced
+
+def scalar_scan(D, r, N):
+    """Tallies of sweep(D, r, N) with a full primality test on every candidate."""
+    r2 = r * r
+    n_primes = n_plus = n_minus = n_other = 0
+    for y in range(2 if r % 2 else 1, isqrt(N - r2) + 1, 2):
+        p = r2 + y * y
+        if not is_prime_u64(p) or (2 * D) % p == 0:
+            continue
+        a = _ap_kernel(D, r, y)
+        n_primes += 1
+        if a == 2 * r:
+            n_plus += 1
+        elif a == -2 * r:
+            n_minus += 1
+        else:
+            n_other += 1
+    return n_primes, n_plus, n_minus, n_other
+
+
+def _tally(rep):
+    return rep.n_primes, rep.n_plus, rep.n_minus, rep.n_other
+
+
+# r with prime factors ≡ 1 (mod 4) (5, 13, 17), ≡ 3 (mod 4) (3, 7, 11) and both
+_MIXED_R = (1, 2, 3, 5, 6, 7, 10, 13, 15, 21, 33, 35, 39, 65, 105, 143, 195, 200)
+
+
+@st.composite
+def _sweep_args(draw):
+    r = draw(st.one_of(st.sampled_from(_MIXED_R), st.integers(1, 200)))
+    r *= draw(st.sampled_from((1, -1)))
+    lo = r * r + 1
+    # small N puts p next to the sieving primes <= isqrt(N)
+    N = draw(st.one_of(
+        st.integers(lo, lo + 3000), st.integers(lo, 10**6), st.integers(10**6, 10**7)
+    ))
+    y = draw(st.integers(1, isqrt(N - r * r)))
+    p = r * r + y * y
+    if draw(st.booleans()) and p % 2 and p <= 10**6:
+        # a multiple of some candidate p, so primes dividing 2D get excluded
+        D = p * draw(st.integers(1, 10**6 // p)) * draw(st.sampled_from((1, -1)))
+    else:
+        D = draw(st.integers(-(10**6), 10**6).filter(bool))
+    return D, r, N
+
+
+@settings(deadline=None, max_examples=100)
+@given(args=_sweep_args())
+@example(args=(1, 1, 5))      # p = 5 is the only candidate
+@example(args=(1, 1, 289))    # N = 17^2: p = 5, 17 are sieving primes
+@example(args=(1, 1, 1369))   # N = 37^2: p = 5, 17, 37 are sieving primes
+@example(args=(5, 1, 1370))   # p = 5 is a sieving prime and divides 2D
+@example(args=(-34, 1, 5000))  # p = 17 divides 2D
+@example(args=(3, 195, 10**7))  # 195 = 3 * 5 * 13
+def test_sweep_matches_scalar_scan(args):
+    assert _tally(sweep(*args)) == scalar_scan(*args)
+
+
+@pytest.mark.parametrize("D, r", [(-21, 1), (-21, 2), (7, 15), (13, 65), (-6, 21)])
+def test_sweep_matches_scalar_scan_at_1e9(D, r):
+    assert _tally(sweep(D, r, 10**9)) == scalar_scan(D, r, 10**9)
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +295,16 @@ def test_report_fields_are_rounded():
 def _log_prime_tests(monkeypatch, driver):
     """Wrap is_prime_u64 in every cmtrace module that binds it.
 
-    Returns the call log: one bool per call, True when the call ran beneath
-    the driver's trace step (whatever the driver binds from cmtrace.frobenius).
+    Returns the call log: one (n, nested) pair per call, nested True when the
+    call ran beneath the driver's trace step (whatever the driver binds from
+    cmtrace.frobenius).
     """
     log = []
     depth = [0]
     orig = primes.is_prime_u64
 
     def counted(n):
-        log.append(depth[0] > 0)
+        log.append((n, depth[0] > 0))
         return orig(n)
 
     for name, mod in list(sys.modules.items()):
@@ -232,20 +328,21 @@ def _log_prime_tests(monkeypatch, driver):
     return log
 
 
-def test_sweep_tests_each_candidate_once(monkeypatch):
+def test_sweep_tests_only_small_candidates(monkeypatch):
+    # the sieve decides every p > isqrt(N) = 1000; only the candidates
+    # p = 1 + y^2 <= 1000, which may be sieving primes, get a primality test
     log = _log_prime_tests(monkeypatch, lab)
     rep = sweep(-21, 1, 10**6)
-    candidates = len(range(2, isqrt(10**6 - 1) + 1, 2))
     assert rep.n_primes > 0
-    assert len(log) == candidates
-    assert not any(log)
+    assert [n for n, _ in log] == [1 + y * y for y in range(2, isqrt(999) + 1, 2)]
+    assert not any(nested for _, nested in log)
 
 
 def test_oracle_trace_step_skips_primality(monkeypatch):
     log = _log_prime_tests(monkeypatch, density)
     pair, counts = density_oracle(-21, 1)
     assert counts.total == 42
-    assert log and not any(log)
+    assert log and not any(nested for _, nested in log)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +422,8 @@ _D_ROUTES = {
     "density_formula": lambda D: density_formula(D, 1),
     "density_oracle": lambda D: density_oracle(D, 1),
     "is_zero_pair": lambda D: is_zero_pair(D, 1),
-    "sweep": lambda D: sweep(D, 1, 10**4),
+    # the report without its wall time, which differs from run to run
+    "sweep": lambda D: dataclasses.replace(sweep(D, 1, 10**4), elapsed_seconds=0.0),
 }
 
 
@@ -337,8 +435,10 @@ def test_non_integer_D_rejected(route, D):
 
 
 def test_numpy_integer_D_accepted():
-    for route in ("ap_naive", "ap_fast", "density_formula"):
+    for route in ("ap_naive", "ap_fast", "density_formula", "sweep"):
         assert _D_ROUTES[route](np.int64(2)) == _D_ROUTES[route](2), route
+    rep = sweep(np.int64(-21), np.int64(2), np.int64(10**5))
+    assert type(rep.D) is type(rep.r) is type(rep.N) is int
 
 
 def test_cm_threads_is_one():

@@ -49,6 +49,10 @@ def test_legendre_examples():
     for a, n in ((2, 561), (2, 1729), (3, 1729), (2, 2**64 + 13)):
         with pytest.raises(PreconditionError):
             legendre(a, n)
+    # a non-integer argument is an error, not a TypeError
+    for a, n in ((2.5, 13), (2, 13.0), ("2", 13)):
+        with pytest.raises(PreconditionError):
+            legendre(a, n)
 
 
 def test_legendre_vs_euler():
