@@ -32,7 +32,7 @@ from .arith import (
 from .errors import NoRepresentativeFound, PreconditionError
 from .frobenius import _ap_kernel
 from .gaussian import GaussianInt
-from .hardy_littlewood import HLPoly, hl_delta
+from .hardy_littlewood import _delta_sum_of_squares
 from .primes import is_prime_u64
 from .residue_symbols import FourClass, _trace_class, class_to_value
 
@@ -408,5 +408,5 @@ def _lt_constant(pair: DensityPair, r: int, prime_bound: int) -> float:
     # lt_constant on the density pair of (D, r), for callers that hold it
     if pair.d_plus == 0:
         return 0.0
-    delta = hl_delta(HLPoly(1, 0, r * r), prime_bound)
+    delta = _delta_sum_of_squares(r, prime_bound)
     return delta * float(pair.d_plus)

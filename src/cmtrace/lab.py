@@ -2,15 +2,18 @@
 
 A sweep finds every prime p = r^2 + y^2 <= N with the fixed leg r by a
 quadratic-polynomial sieve over the legs y (Crandall & Pomerance, Prime
-Numbers, section 3.2), classifies each prime's trace on its legs, and
-packages the tallies next to the closed-form prediction and the
-Lang-Trotter style count prediction, so one report carries everything
-needed to eyeball (or assert) agreement.
+Numbers, section 3.2), classifies the traces of all of them on their
+legs as one array, and packages the tallies next to the closed-form
+prediction and the Lang-Trotter style count prediction, so one report
+carries everything needed to eyeball (or assert) agreement. What depends
+only on N (the sieving primes and their square roots of -1) or only on
+the Euler product's bound is computed once and cached.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import time
@@ -22,7 +25,7 @@ import numpy as np
 
 from .density import DensityPair, _lt_constant, density_formula
 from .errors import PreconditionError, _as_int
-from .frobenius import _ap_kernel
+from .frobenius import _ap_kernel_array
 from .primes import _pow_mod_array, is_prime_u64, sieve_primes
 
 __all__ = [
@@ -90,6 +93,19 @@ def _sqrt_minus_one_mod(q: np.ndarray) -> np.ndarray:
     return root
 
 
+@functools.lru_cache(maxsize=2)
+def _sieve_base(root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The odd primes q <= root, those ≡ 1 (mod 4), and sqrt(-1) mod each
+    of the latter, read-only. No part depends on D or r, so a sweep reuses
+    them for every (D, r) with the same root = isqrt(N)."""
+    q = sieve_primes(root)[1:]
+    q1 = q[q % 4 == 1]
+    i1 = _sqrt_minus_one_mod(q1)
+    for arr in (q, q1, i1):
+        arr.setflags(write=False)
+    return q, q1, i1
+
+
 def _scan(D: int, r: int, N: int) -> tuple[int, int, int, int]:
     """Tallies over the primes p = r^2 + y^2 <= N not dividing 2D.
 
@@ -99,7 +115,9 @@ def _scan(D: int, r: int, N: int) -> tuple[int, int, int, int]:
     y ≡ ±r*sqrt(-1) (mod q); the sieve marks those j for every odd
     q <= isqrt(N). A composite p <= N has a prime factor <= isqrt(N), so
     every unmarked p > isqrt(N) is prime. The few p <= isqrt(N), which may
-    be a sieving prime themselves, are tested directly.
+    be a sieving prime themselves, are tested directly. The surviving legs
+    stay one int64 array, and the vector kernel classifies them all at
+    once; its 0 marks the p dividing D.
     """
     r2 = r * r
     y0 = 2 if r % 2 else 1
@@ -110,12 +128,12 @@ def _scan(D: int, r: int, N: int) -> tuple[int, int, int, int]:
 
     n = legs_up_to(isqrt(N - r2))
     n_small = legs_up_to(isqrt(root - r2)) if root > r2 else 0
-    q = sieve_primes(root)[1:]
-    rq = r % q
-    div = q[rq == 0]
-    split = (q % 4 == 1) & (rq != 0)
-    qs = q[split]
-    ri = rq[split] * _sqrt_minus_one_mod(qs) % qs
+    q, q1, i1 = _sieve_base(root)
+    div = q[r % q == 0]
+    r1 = r % q1
+    split = r1 != 0
+    qs = q1[split]
+    ri = r1[split] * i1[split] % qs
     steps = np.concatenate((div, qs, qs))
     ys = np.concatenate((np.zeros_like(div), ri, qs - ri))
     starts = (ys - y0) % steps * ((steps + 1) >> 1) % steps  # j = (y - y0)/2 mod q
@@ -124,24 +142,14 @@ def _scan(D: int, r: int, N: int) -> tuple[int, int, int, int]:
     for j, step in zip(starts[keep].tolist(), steps[keep].tolist()):
         composite[j::step] = True
     composite[:n_small] = True
-    legs = [y for y in range(y0, y0 + 2 * n_small, 2) if is_prime_u64(r2 + y * y)]
-    legs += (np.flatnonzero(~composite) * 2 + y0).tolist()
+    small = [y for y in range(y0, y0 + 2 * n_small, 2) if is_prime_u64(r2 + y * y)]
+    legs = np.concatenate((np.array(small, dtype=np.int64), np.flatnonzero(~composite) * 2 + y0))
 
-    n_primes = n_plus = n_minus = n_other = 0
-    twoD = 2 * abs(D)
-    target = 2 * r
-    for y in legs:
-        if twoD % (r2 + y * y) == 0:
-            continue  # bad reduction for the caller's curve
-        a = _ap_kernel(D, r, y)
-        n_primes += 1
-        if a == target:
-            n_plus += 1
-        elif a == -target:
-            n_minus += 1
-        else:
-            n_other += 1
-    return n_primes, n_plus, n_minus, n_other
+    a = _ap_kernel_array(D, r, legs)
+    n_primes = int(np.count_nonzero(a))
+    n_plus = int(np.count_nonzero(a == 2 * r))
+    n_minus = int(np.count_nonzero(a == -2 * r))
+    return n_primes, n_plus, n_minus, n_primes - n_plus - n_minus
 
 
 def sweep(D: int, r: int, N: int) -> SweepReport:

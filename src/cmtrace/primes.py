@@ -2,11 +2,14 @@
 
 is_prime_u64 answers one-off primality questions. sieve_primes gives every
 prime below a bound, in order, to the sweep's polynomial sieve and the
-Hardy-Littlewood Euler products, which also share the elementwise modular
-power below.
+Hardy-Littlewood Euler products, which also share the exact array
+arithmetic below: an integer of any size mod an array of primes, and the
+elementwise modular product and power for moduli below 2^50.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 
@@ -73,29 +76,95 @@ def is_prime_u64(n: int) -> bool:
 
 
 def sieve_primes(bound: int) -> np.ndarray:
-    """All primes <= bound as an int64 array (empty for bound < 2)."""
+    """All primes <= bound as an int64 array (empty for bound < 2).
+
+    The sieve keeps one byte per odd number, and the primes are written
+    into the single int64 array that is returned.
+    """
     if bound < 2:
         return np.empty(0, dtype=np.int64)
     if bound > 10**9:
         raise PreconditionError(f"sieve bound too large: {bound}")
-    mask = np.ones(bound + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(bound**0.5) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    odd = np.ones((bound + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1
+    for i in range(1, (isqrt(bound) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    # odd[0] stands for 1; it is kept and becomes the 2
+    primes = np.flatnonzero(odd)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
+
+
+def _mod_primes(c: int, p: np.ndarray) -> np.ndarray:
+    """c mod each p (int64, 0 < p < 2^62), exact for any integer c.
+
+    Horner's rule over limbs of |c| as wide as the largest p leaves room
+    for in int64: with p < 2^k, (p - 1) * 2^(63-k) + 2^(63-k) - 1 < 2^63.
+    """
+    if not p.size:
+        return np.zeros_like(p)
+    width = 63 - int(p.max()).bit_length()
+    m = abs(int(c))
+    limbs = []
+    while True:
+        limbs.append(m & ((1 << width) - 1))
+        m >>= width
+        if not m:
+            break
+    out = np.zeros_like(p)
+    for limb in reversed(limbs):
+        out <<= width
+        out += limb
+        out %= p
+    return (p - out) % p if c < 0 else out
+
+
+# the largest modulus whose residues multiply exactly in int64: (m-1)^2 < 2^63
+_INT64_MOD_MAX = 3_037_000_500
+# float64 holds residues below 2^50 exactly, and its quotient is off by at most 1
+_MULMOD_BOUND = 1 << 50
+
+
+def _mulmod(mod: np.ndarray):
+    """The exact elementwise a * b % mod for residues 0 <= a, b < mod < 2^50.
+
+    Below 3.03e9 every product fits int64. Above it, q = a*b/m in float64
+    is within 1 of the true quotient (three roundings of 2^-53 each, on a
+    quotient below 2^50), so a*b - q*m, taken in wrapping int64, lies in
+    (-m, 2m) and is fixed by one correction up and one down. The choice is
+    made once, from the largest modulus.
+    """
+    top = int(mod.max()) if mod.size else 0
+    if top <= _INT64_MOD_MAX:
+        return lambda a, b: a * b % mod
+    if top >= _MULMOD_BOUND:
+        raise PreconditionError(f"modulus {top} is not below 2^50")
+    inv = 1.0 / mod
+
+    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        q = (a.astype(np.float64) * b * inv).astype(np.int64)
+        r = a * b - q * mod
+        r += np.where(r < 0, mod, 0)
+        r -= np.where(r >= mod, mod, 0)
+        return r
+
+    return mul
 
 
 def _pow_mod_array(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base**exp % mod elementwise on int64 arrays, 0 <= base < mod < 3.03e9.
+    """base**exp % mod elementwise on int64 arrays, 0 <= base < mod < 2^50.
 
-    Every product of two residues stays below mod^2 < 2^63, so the
-    square-and-multiply ladder is exact.
+    A square-and-multiply ladder over _mulmod, exact for every modulus in
+    that range.
     """
+    mul = _mulmod(mod)
     result = np.ones_like(mod)
     while True:
-        result = np.where(exp & 1, result * base % mod, result)
+        result = np.where(exp & 1, mul(result, base), result)
         exp = exp >> 1
         if not exp.any():
             return result
-        base = base * base % mod
+        base = mul(base, base)

@@ -338,6 +338,19 @@ def test_lt_constant_values():
     assert lt_constant(2, 4, 1000) == 0.0
 
 
+def test_lt_constant_large_r():
+    # r far beyond int64 and beyond every prime of the table; the values
+    # are the general hl_delta's, pinned before the chi_{-4} table existed
+    assert lt_constant(5, 10**20 + 1) == 0.4674860202320708
+    assert lt_constant(2, 7**30) == 0.29417368066730964
+
+
+def test_lt_constant_rejects_bad_bound():
+    for bound in (2, 1000.0, "1000"):
+        with pytest.raises(PreconditionError):
+            lt_constant(1, 1, bound)
+
+
 def test_lt_constant_zero_iff_density_zero():
     rng = random.Random(321)
     for _ in range(60):

@@ -2,6 +2,7 @@ import random
 from itertools import product
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,12 +12,14 @@ from cmtrace.frobenius import (
     NAIVE_CAP,
     CurveD,
     _ap_kernel,
+    _ap_kernel_array,
     ap_binomial_residue,
     ap_fast,
     ap_naive,
     reduce_quartic_twist,
 )
 from cmtrace.gaussian import two_squares
+from cmtrace.primes import is_prime_u64
 from cmtrace.residue_symbols import FourClass, quartic_class_of
 from oracles import brute_ap, trial_is_prime
 
@@ -165,6 +168,47 @@ def test_kernel_on_legs_matches_naive(legs, D):
     for sx, sy in product((1, -1), repeat=2):
         assert _ap_kernel(D, sx * x, sy * y) == want, (D, sx * x, sy * y)
         assert _ap_kernel(D, sy * y, sx * x) == want, (D, sy * y, sx * x)
+
+
+# p ranges of the vector kernel: int64 products, the float64-quotient
+# mulmod, and the scalar kernel beyond 2^50 (sweep's N stops at 10^18)
+_P_REGIMES = ((5, 3_037_000_500), (3_037_000_500, 1 << 50), (1 << 50, 10**18))
+
+
+@st.composite
+def _legs_array(draw):
+    """Legs (x, y) of primes x^2 + y^2 from some of the regimes, in any
+    order and with any signs, and a D that may be a multiple of one p."""
+    regimes = draw(st.lists(st.sampled_from(_P_REGIMES), min_size=1, max_size=3, unique=True))
+    legs = []
+    for _ in range(draw(st.integers(1, 8))):
+        lo, hi = draw(st.sampled_from(regimes))
+        p0 = draw(st.integers(lo, hi - 1))
+        y = draw(st.integers(1, isqrt(p0 - 1) // 2)) * 2
+        x = isqrt(p0 - y * y) | 1
+        while not is_prime_u64(x * x + y * y):
+            x += 2
+        x *= draw(st.sampled_from((1, -1)))
+        y *= draw(st.sampled_from((1, -1)))
+        legs.append(draw(st.sampled_from(((x, y), (y, x)))))
+    D = draw(st.one_of(
+        st.sampled_from((1, -1, np.int64(-21), np.int64(2), 2**63, -(2**63) - 1, -(10**30))),
+        st.integers(-(10**6), 10**6).filter(bool),
+        st.integers(-(2**200), 2**200).filter(bool),
+    ))
+    if draw(st.booleans()):
+        x, y = legs[0]
+        D = (x * x + y * y) * draw(st.integers(-3, 3).filter(bool))  # a bad prime: trace 0
+    return D, legs
+
+
+@settings(deadline=None)
+@given(args=_legs_array())
+def test_kernel_array_matches_scalar(args):
+    D, legs = args
+    xs, ys = (np.array(v, dtype=np.int64) for v in zip(*legs))
+    want = [_ap_kernel(int(D), x, y) for x, y in legs]
+    assert _ap_kernel_array(D, xs, ys).tolist() == want
 
 
 def test_hasse_parity_supersingular():

@@ -1,7 +1,13 @@
 import pytest
 
 from cmtrace.errors import PreconditionError
-from cmtrace.hardy_littlewood import HLPoly, hl_admissible, hl_count, hl_delta
+from cmtrace.hardy_littlewood import (
+    HLPoly,
+    _delta_sum_of_squares,
+    hl_admissible,
+    hl_count,
+    hl_delta,
+)
 from oracles import slow_hl_delta, slow_prime_count_quadratic
 
 
@@ -79,6 +85,19 @@ def test_delta_equals_scalar_product(f, bound):
     # the vectorized product must be the scalar loop's value, bit for bit
     assert hl_admissible(f)
     assert hl_delta(f, bound) == slow_hl_delta(*f, bound)
+
+
+# r with odd prime divisors in and out of the table, r^2 beyond int64,
+# and primes just below and above 10^6
+_SUM_OF_SQUARES_R = [*range(1, 61), 210, 30030, 999983, 10**6 + 3, 10**20 + 1]
+
+
+@pytest.mark.parametrize("bound", [3, 10, 1000, 10**5, 10**6])
+def test_delta_sum_of_squares_equals_hl_delta(bound):
+    # the chi_{-4} table with 1.0 at the p | r is the general product, bit for bit
+    for r in _SUM_OF_SQUARES_R:
+        for s in (r, -r):
+            assert _delta_sum_of_squares(s, bound) == hl_delta(HLPoly(1, 0, r * r), bound), (s, bound)
 
 
 def test_delta_rejects():

@@ -1,7 +1,12 @@
 import dataclasses
 import json
+import os
+import random
+import subprocess
 import sys
-from math import isqrt
+import tracemalloc
+from math import gcd, isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +31,7 @@ from cmtrace.lab import (
     report_from_dict,
     sweep,
 )
-from cmtrace.primes import is_prime_u64
+from cmtrace.primes import _mod_primes, _mulmod, _pow_mod_array, is_prime_u64, sieve_primes
 from oracles import brute_ap, primes_up_to, trial_is_prime
 
 
@@ -82,6 +87,89 @@ def test_is_prime_u64_rejects():
         is_prime_u64(-1)
     with pytest.raises(PreconditionError):
         is_prime_u64(1 << 64)
+
+
+# ---------------------------------------------------------------------------
+# prime tables and array arithmetic
+
+def test_sieve_primes_vs_oracle():
+    small = primes_up_to(10**4)
+    for bound in range(-2, 10**4 + 1):
+        got = sieve_primes(bound)
+        assert got.dtype == np.int64
+        assert got.tolist() == [p for p in small if p <= bound], bound
+    assert sieve_primes(10**6).size == 78498
+
+
+def test_sieve_primes_memory():
+    # one byte per odd number for the sieve, and the result array is the
+    # only int64 array built; at 10^6 that is 0.5 MB next to 0.63 MB
+    bound = 10**6
+    tracemalloc.start()
+    try:
+        primes_arr = sieve_primes(bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= primes_arr.nbytes + (bound + 1) // 2 + 2**16, peak
+
+
+def test_mod_primes_vs_python():
+    # limbs as wide as the largest p allows, for every p size the callers use
+    rng = random.Random(9)
+    for hi in (100, 2**31, 2**50, 10**18):
+        p = np.array([rng.randrange(2, hi) for _ in range(50)] + [hi - 1], dtype=np.int64)
+        for c in (0, 1, -1, 2**63, -(2**63) - 1, 10**30, -(7**90), rng.randrange(-(2**300), 2**300)):
+            assert _mod_primes(c, p).tolist() == [c % int(m) for m in p.tolist()], (c, hi)
+
+
+@pytest.mark.parametrize("top", [3_037_000_500, 3_037_000_501, (1 << 50) - 1])
+def test_mulmod_vs_python(top):
+    # products ≡ ±1 (mod m) sit next to a multiple of m, where the float64
+    # quotient is most often one off in either direction
+    rng = random.Random(top)
+    cases = []
+    for _ in range(3000):
+        m = rng.randrange(top // 2, top + 1)
+        x = rng.randrange(1, m)
+        inv = pow(x, -1, m) if gcd(x, m) == 1 else 1
+        cases.append((x, rng.choice((inv, m - inv, rng.randrange(m), m - 1)), m))
+    a, b, mod = (np.array(v, dtype=np.int64) for v in zip(*cases))
+    assert _mulmod(mod)(a, b).tolist() == [x * y % m for x, y, m in cases]
+
+
+def test_mulmod_rejects_modulus_from_2_50():
+    # float64 no longer holds every residue exactly there
+    with pytest.raises(PreconditionError):
+        _mulmod(np.array([5, 1 << 50], dtype=np.int64))
+
+
+@pytest.mark.parametrize("top", [3_037_000_500, 3_037_000_501, (1 << 50) - 1])
+def test_pow_mod_array_vs_python(top):
+    # the largest modulus picks the multiply: int64 products up to
+    # 3_037_000_500, the float64 quotient above it, up to 2^50
+    rng = random.Random(top)
+    mod = [top - k for k in range(40)] + [rng.randrange(3, top) for _ in range(40)]
+    base = [m - 1 - k % 3 for k, m in enumerate(mod)]
+    base[40:] = [rng.randrange(m) for m in mod[40:]]
+    exp = [rng.randrange(1 << 51) for _ in mod]
+    got = _pow_mod_array(*(np.array(v, dtype=np.int64) for v in (base, exp, mod)))
+    assert got.tolist() == [pow(b, e, m) for b, e, m in zip(base, exp, mod)]
+
+
+def test_no_table_at_import():
+    # the per-bound tables are built by the first sweep, not by import
+    code = (
+        "import cmtrace\n"
+        "from cmtrace import hardy_littlewood, lab\n"
+        "assert lab._sieve_base.cache_info().currsize == 0\n"
+        "assert hardy_littlewood._chi4_table.cache_info().currsize == 0\n"
+    )
+    src = str(Path(cmtrace.__file__).resolve().parent.parent)
+    subprocess.run(
+        [sys.executable, "-c", code], timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +308,7 @@ def _sweep_args(draw):
 @example(args=(5, 1, 1370))   # p = 5 is a sieving prime and divides 2D
 @example(args=(-34, 1, 5000))  # p = 17 divides 2D
 @example(args=(3, 195, 10**7))  # 195 = 3 * 5 * 13
+@example(args=(7, 15, 4 * 10**9))  # p crosses 3.03e9, where the kernel's mulmod changes
 def test_sweep_matches_scalar_scan(args):
     assert _tally(sweep(*args)) == scalar_scan(*args)
 
@@ -227,6 +316,19 @@ def test_sweep_matches_scalar_scan(args):
 @pytest.mark.parametrize("D, r", [(-21, 1), (-21, 2), (7, 15), (13, 65), (-6, 21)])
 def test_sweep_matches_scalar_scan_at_1e9(D, r):
     assert _tally(sweep(D, r, 10**9)) == scalar_scan(D, r, 10**9)
+
+
+# D far outside int64, reduced mod each p by limbs, and N too large for the
+# scalar scan in a test; every tally is the scalar scan's, computed once
+@pytest.mark.parametrize("D, r, N, tally", [
+    (10**30, 1, 10**6, (110, 51, 59, 0)),
+    (-(3**41), 1, 10**6, (111, 41, 0, 70)),
+    (2**70, 1, 10**6, (111, 59, 52, 0)),
+    (-21, 1, 10**11, (18821, 4935, 4912, 8974)),
+    (-21, 1, 10**12, (54109, 14230, 14098, 25781)),
+])
+def test_sweep_pinned_tallies(D, r, N, tally):
+    assert _tally(sweep(D, r, N)) == tally
 
 
 # ---------------------------------------------------------------------------
