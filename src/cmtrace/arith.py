@@ -175,6 +175,7 @@ class DSplit:
 
 
 def split_d(D: int, r: int) -> DSplit:
+    r = _as_int(r, "split_d: r")
     if D == 0 or r == 0:
         raise PreconditionError("split_d wants nonzero D and r")
     fac = factorize(D)
@@ -214,6 +215,7 @@ class ProgressionSet:
 
 
 def progression_set(D: int, r: int) -> ProgressionSet:
+    r = _as_int(r, "progression_set: r")
     if D == 0 or r == 0:
         raise PreconditionError("progression_set wants nonzero D and r")
     D_abs = abs(D)

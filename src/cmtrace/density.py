@@ -29,10 +29,10 @@ from .arith import (
     split_d,
     v2,
 )
-from .errors import NoRepresentativeFound, PreconditionError
+from .errors import NoRepresentativeFound, PreconditionError, _as_int
 from .frobenius import _ap_kernel
 from .gaussian import GaussianInt
-from .hardy_littlewood import _delta_sum_of_squares
+from .hardy_littlewood import HLPoly, hl_delta
 from .primes import is_prime_u64
 from .residue_symbols import FourClass, _trace_class, class_to_value
 
@@ -214,6 +214,7 @@ def _normalize(r: int) -> tuple[int, bool]:
 
 def _closed_form(D: int, r: int) -> tuple[DSplit, DensityPair, bool]:
     """The split of the reduced D against the normalized m, its pair, the swap."""
+    r = _as_int(r, "r")
     if D == 0 or r == 0:
         raise PreconditionError("density_formula wants nonzero D and r")
     m, swap = _normalize(r)
@@ -268,7 +269,9 @@ def density_oracle(
     if D == 0 or r == 0:
         raise PreconditionError("density_oracle wants nonzero D and r")
     D0 = reduce_quartic_twist(D)
-    traces = [_classify_class(D0, r, k, x_max) for k in progression_set(D0, r).ks]
+    ps = progression_set(D0, r)
+    r = ps.r  # a Python int, whatever integer type came in
+    traces = [_classify_class(D0, r, k, x_max) for k in ps.ks]
     n = len(traces)
     pair = DensityPair(Fraction(traces.count(2 * r), n), Fraction(traces.count(-2 * r), n))
     classes = [_trace_class(a) for a in traces]
@@ -290,6 +293,7 @@ def sigma_sums(D: int, r: int, x_max: int = 100_000) -> SigmaTriple:
     if D0 % 2 == 0:
         raise PreconditionError(f"sigma_sums wants odd D (after reduction), got {D0}")
     ps = progression_set(D0, r)
+    r = ps.r
     # indexed by the parity of k: classes, quadratic symbols (D/p), quartic values
     n, s2, s4 = [0, 0], [0, 0], [GaussianInt(0, 0)] * 2
     for k in ps.ks:
@@ -406,7 +410,5 @@ def lt_constant(D: int, r: int, prime_bound: int = 1_000_000) -> float:
 
 def _lt_constant(pair: DensityPair, r: int, prime_bound: int) -> float:
     # lt_constant on the density pair of (D, r), for callers that hold it
-    if pair.d_plus == 0:
-        return 0.0
-    delta = _delta_sum_of_squares(r, prime_bound)
-    return delta * float(pair.d_plus)
+    # r has passed density_formula; int() keeps a numpy r's square from wrapping
+    return hl_delta(HLPoly(1, 0, int(r) ** 2), prime_bound) * float(pair.d_plus)

@@ -135,6 +135,9 @@ def ap_fast(D, p: int) -> int:
     two_squares is then the primality test of p.
     """
     D = _coeff(D)
+    p = _as_int(p, "ap_fast: p")
+    if p < 3:
+        raise PreconditionError(f"ap_fast wants an odd prime, got {p}")
     _check_good_reduction(D, p)
     if p % 4 == 1:
         ts = two_squares(p)

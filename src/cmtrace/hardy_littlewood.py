@@ -7,8 +7,9 @@ that is (delta/2) * (li(sqrt n) - li(2)); delta * sqrt(n)/log n is only its
 leading term, and runs about 15% low at n = 10^8. This package only ever
 needs f = (4Dx + j)^2 + r^2 shapes, which collapse to x^2 + r^2 up to
 finite factors, but the general evaluator is cheap to have and easy to
-test on its own. The Lang-Trotter constants take x^2 + r^2 from one
-table of chi_{-4} factors per bound instead, with the same value.
+test on its own. The Lang-Trotter constants call it for x^2 + r^2 at
+one bound on every sweep, and only r varies, so hl_delta remembers its
+values per (f, bound).
 """
 
 from __future__ import annotations
@@ -90,7 +91,9 @@ def hl_delta(f, prime_bound: int = 1_000_000) -> float:
     primes, exact since p^2 < 2^63 for every p <= 10^9 (sieve_primes' cap).
     Each factor is computed in float64 exactly as the scalar expression
     would be, and math.prod multiplies them in prime order, so the value
-    is the one a plain loop over the primes gives, bit for bit.
+    is the one a plain loop over the primes gives, bit for bit. The last
+    256 values are remembered, keyed on the normalized (f, bound), so a
+    tuple, a list or an HLPoly with the same coefficients share one entry.
     """
     f = _as_poly(f)
     prime_bound = _as_int(prime_bound, "hl_delta: prime_bound")
@@ -98,46 +101,16 @@ def hl_delta(f, prime_bound: int = 1_000_000) -> float:
         raise PreconditionError(f"hl_delta: {f} is not admissible")
     if prime_bound < 3:
         raise PreconditionError(f"hl_delta: prime_bound too small: {prime_bound}")
+    return _hl_delta(f, prime_bound)
+
+
+@functools.lru_cache(maxsize=256)
+def _hl_delta(f: HLPoly, prime_bound: int) -> float:
+    # hl_delta on validated, normalized arguments, remembered per (f, bound)
     value = gcd(2, f.a + f.b) / sqrt(f.a)
     primes = sieve_primes(prime_bound)[1:]  # odd primes only
     for lo in range(0, primes.size, _CHUNK):
         value = prod(_euler_factors(f, primes[lo : lo + _CHUNK]).tolist(), start=value)
-    return value
-
-
-@functools.lru_cache(maxsize=2)
-def _chi4_table(prime_bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The odd primes p <= prime_bound and hl_delta's factor for x^2 + r^2
-    at each p not dividing r: 1 - chi_{-4}(p)/(p-1), as the same float64
-    expression _euler_factors evaluates. Read-only, cached per bound."""
-    p = sieve_primes(prime_bound)[1:]
-    chi = np.where(p % 4 == 1, 1, -1)
-    factors = 1 - chi / (p - 1)
-    p.setflags(write=False)
-    factors.setflags(write=False)
-    return p, factors
-
-
-def _delta_sum_of_squares(r: int, prime_bound: int) -> float:
-    """hl_delta(HLPoly(1, 0, r*r), prime_bound), bit for bit, with no power.
-
-    The discriminant is -4r^2, so its symbol is chi_{-4}(p) off the primes
-    dividing r and 0 on them, where the factor is exactly 1.0. The factors
-    come from the table of the bound with 1.0 put at the p | r, found by
-    r mod p, and multiply in prime order as in hl_delta, one chunk at a
-    time so no temporary is as large as the table.
-    """
-    prime_bound = _as_int(prime_bound, "hl_delta: prime_bound")
-    if prime_bound < 3:
-        raise PreconditionError(f"hl_delta: prime_bound too small: {prime_bound}")
-    p, factors = _chi4_table(prime_bound)
-    value = 1.0  # gcd(2, a + b)/sqrt(a) at a = 1, b = 0
-    for lo in range(0, p.size, _CHUNK):
-        chunk = factors[lo : lo + _CHUNK]
-        hit = _mod_primes(abs(r), p[lo : lo + _CHUNK]) == 0
-        if hit.any():
-            chunk = np.where(hit, 1.0, chunk)
-        value = prod(chunk.tolist(), start=value)
     return value
 
 

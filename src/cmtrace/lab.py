@@ -6,8 +6,9 @@ Numbers, section 3.2), classifies the traces of all of them on their
 legs as one array, and packages the tallies next to the closed-form
 prediction and the Lang-Trotter style count prediction, so one report
 carries everything needed to eyeball (or assert) agreement. What depends
-only on N (the sieving primes and their square roots of -1) or only on
-the Euler product's bound is computed once and cached.
+only on N (the sieving primes and their square roots of -1) is computed
+once and cached, and hl_delta remembers the Euler product of x^2 + r^2
+per r^2 and bound.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .density import DensityPair, _lt_constant, density_formula
 from .errors import PreconditionError, _as_int
 from .frobenius import _ap_kernel_array
-from .primes import _pow_mod_array, is_prime_u64, sieve_primes
+from .primes import _pow_mod_array, sieve_primes
 
 __all__ = [
     "SweepReport",
@@ -64,6 +65,7 @@ class SweepReport:
 
 def lt_predict(D: int, r: int, N: int, prime_bound: int = 1_000_000) -> float:
     """Predicted count of primes p <= N with a_p = 2r: C * sqrt(N)/log N."""
+    N = _as_int(N, "lt_predict: N")
     if N < 3:
         raise PreconditionError(f"lt_predict wants N >= 3, got {N}")
     return _lt_predict(density_formula(D, r), r, N, prime_bound)
@@ -115,9 +117,10 @@ def _scan(D: int, r: int, N: int) -> tuple[int, int, int, int]:
     y ≡ ±r*sqrt(-1) (mod q); the sieve marks those j for every odd
     q <= isqrt(N). A composite p <= N has a prime factor <= isqrt(N), so
     every unmarked p > isqrt(N) is prime. The few p <= isqrt(N), which may
-    be a sieving prime themselves, are tested directly. The surviving legs
-    stay one int64 array, and the vector kernel classifies them all at
-    once; its 0 marks the p dividing D.
+    be a sieving prime themselves, are prime exactly when they are one of
+    the sieving primes q, which one binary search over q decides. The
+    surviving legs stay one int64 array, and the vector kernel classifies
+    them all at once; its 0 marks the p dividing D.
     """
     r2 = r * r
     y0 = 2 if r % 2 else 1
@@ -141,9 +144,11 @@ def _scan(D: int, r: int, N: int) -> tuple[int, int, int, int]:
     composite = np.zeros(n, dtype=bool)
     for j, step in zip(starts[keep].tolist(), steps[keep].tolist()):
         composite[j::step] = True
-    composite[:n_small] = True
-    small = [y for y in range(y0, y0 + 2 * n_small, 2) if is_prime_u64(r2 + y * y)]
-    legs = np.concatenate((np.array(small, dtype=np.int64), np.flatnonzero(~composite) * 2 + y0))
+    if n_small:  # so q is not empty: r^2 + y0^2 <= root gives root >= 5
+        small = np.arange(y0, y0 + 2 * n_small, 2, dtype=np.int64) ** 2 + r2
+        at = np.searchsorted(q, small)
+        composite[:n_small] = q[np.minimum(at, q.size - 1)] != small
+    legs = np.flatnonzero(~composite) * 2 + y0
 
     a = _ap_kernel_array(D, r, legs)
     n_primes = int(np.count_nonzero(a))

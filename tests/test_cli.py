@@ -33,6 +33,10 @@ def test_ap_bad_prime_exits_2(capsys):
     code, out, err = run(capsys, "ap", "--D", "2", "--p", "15")
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+    # p = 0 is rejected before the bad-reduction check divides by it
+    code, out, err = run(capsys, "ap", "--D", "3", "--p", "0", "--method", "fast")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_density_both(capsys):

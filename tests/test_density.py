@@ -345,10 +345,40 @@ def test_lt_constant_large_r():
     assert lt_constant(2, 7**30) == 0.29417368066730964
 
 
+# (D, r, bound) -> lt_constant, read before hl_delta became its only route:
+# bounds down to 3, r with primes of the product dividing it (3, 15, 30030,
+# 999983), r beyond int64, and negative r
+_LT_PINNED = {
+    (1, 1, 3): 1.5,
+    (1, 1, 10): 1.3125,
+    (-21, 1, 1000): 0.3589283876373599,
+    (-21, 1, 10**6): 0.35954560970448896,
+    (-1, 3, 3): 0.5,
+    (-1, 3, 10): 0.4375,
+    (-21, -3, 1000): 0.19577912052946908,
+    (1, -15, 10**5): 1.2198670953089328,
+    (-46, 10, 10**5): 0.3977827484703036,
+    (-2, 30030, 10**6): 1.03730664257345,
+    (-1, 999983, 10**6): 0.6864045684734639,
+    (-1, 10**6 + 3, 10**6): 0.686405254890388,
+    (-21, 10**20 + 1, 10**6): 0.36731044446805566,
+    (-21, -(10**20 + 1), 10): 0.34375,
+    (1, 7**30, 1000): 1.174674723176815,
+    (1, 7**30, 10**6): 1.1766947226692386,
+}
+
+
+@pytest.mark.parametrize("D, r, bound", list(_LT_PINNED))
+def test_lt_constant_pinned(D, r, bound):
+    assert lt_constant(D, r, bound) == _LT_PINNED[D, r, bound]
+
+
 def test_lt_constant_rejects_bad_bound():
-    for bound in (2, 1000.0, "1000"):
-        with pytest.raises(PreconditionError):
-            lt_constant(1, 1, bound)
+    # (1, 3) has +2r density 0, and its bound is checked all the same
+    for D, r in ((1, 1), (1, 3)):
+        for bound in (2, 1000.0, "1000"):
+            with pytest.raises(PreconditionError):
+                lt_constant(D, r, bound)
 
 
 def test_lt_constant_zero_iff_density_zero():

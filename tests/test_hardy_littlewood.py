@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from cmtrace.errors import PreconditionError
 from cmtrace.hardy_littlewood import (
     HLPoly,
-    _delta_sum_of_squares,
+    _hl_delta,
     hl_admissible,
     hl_count,
     hl_delta,
@@ -87,17 +88,24 @@ def test_delta_equals_scalar_product(f, bound):
     assert hl_delta(f, bound) == slow_hl_delta(*f, bound)
 
 
-# r with odd prime divisors in and out of the table, r^2 beyond int64,
-# and primes just below and above 10^6
-_SUM_OF_SQUARES_R = [*range(1, 61), 210, 30030, 999983, 10**6 + 3, 10**20 + 1]
-
-
-@pytest.mark.parametrize("bound", [3, 10, 1000, 10**5, 10**6])
-def test_delta_sum_of_squares_equals_hl_delta(bound):
-    # the chi_{-4} table with 1.0 at the p | r is the general product, bit for bit
-    for r in _SUM_OF_SQUARES_R:
-        for s in (r, -r):
-            assert _delta_sum_of_squares(s, bound) == hl_delta(HLPoly(1, 0, r * r), bound), (s, bound)
+def test_delta_memo():
+    # one entry per normalized (f, bound), whatever form f came in
+    _hl_delta.cache_clear()
+    value = hl_delta((1, 0, 49), 1000)
+    assert _hl_delta.cache_info().currsize == 1
+    assert hl_delta(HLPoly(1, 0, 49), 1000) == value
+    assert hl_delta([1, 0, 49], 1000) == value
+    assert hl_delta((np.int64(1), np.int64(0), np.int64(49)), np.int64(1000)) == value
+    info = _hl_delta.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 3, 1)
+    assert value == slow_hl_delta(1, 0, 49, 1000)
+    # a rejected input is never remembered, so it raises every time
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            hl_delta((1, 0, -1), 1000)
+        with pytest.raises(PreconditionError):
+            hl_delta((1, 0, 49), 2)
+    assert _hl_delta.cache_info().currsize == 1
 
 
 def test_delta_rejects():

@@ -158,12 +158,12 @@ def test_pow_mod_array_vs_python(top):
 
 
 def test_no_table_at_import():
-    # the per-bound tables are built by the first sweep, not by import
+    # the sieve base and the Euler products are built by the first call, not by import
     code = (
         "import cmtrace\n"
         "from cmtrace import hardy_littlewood, lab\n"
         "assert lab._sieve_base.cache_info().currsize == 0\n"
-        "assert hardy_littlewood._chi4_table.cache_info().currsize == 0\n"
+        "assert hardy_littlewood._hl_delta.cache_info().currsize == 0\n"
     )
     src = str(Path(cmtrace.__file__).resolve().parent.parent)
     subprocess.run(
@@ -430,14 +430,13 @@ def _log_prime_tests(monkeypatch, driver):
     return log
 
 
-def test_sweep_tests_only_small_candidates(monkeypatch):
-    # the sieve decides every p > isqrt(N) = 1000; only the candidates
-    # p = 1 + y^2 <= 1000, which may be sieving primes, get a primality test
+def test_sweep_makes_no_primality_test(monkeypatch):
+    # the sieve decides every p > isqrt(N) = 1000, and the sieving primes
+    # themselves decide the candidates p = r^2 + y^2 <= 1000
     log = _log_prime_tests(monkeypatch, lab)
-    rep = sweep(-21, 1, 10**6)
-    assert rep.n_primes > 0
-    assert [n for n, _ in log] == [1 + y * y for y in range(2, isqrt(999) + 1, 2)]
-    assert not any(nested for _, nested in log)
+    for r in (1, 2):
+        assert sweep(-21, r, 10**6).n_primes > 0
+    assert log == []
 
 
 def test_oracle_trace_step_skips_primality(monkeypatch):
@@ -536,11 +535,37 @@ def test_non_integer_D_rejected(route, D):
         _D_ROUTES[route](D)
 
 
+# r, N and p that are not integers, and a p below 3, each where it enters
+_BAD_ARGUMENT_CALLS = {
+    "density_formula r=1.5": lambda: density_formula(3, 1.5),
+    "density_formula r='1'": lambda: density_formula(3, "1"),
+    "lt_constant r=1.5": lambda: lt_constant(3, 1.5),
+    "is_zero_pair r=2.0": lambda: is_zero_pair(3, 2.0),
+    "density_oracle r=1.0": lambda: density_oracle(3, 1.0),
+    "progression_set r=1.5": lambda: arith.progression_set(3, 1.5),
+    "split_d r=1.5": lambda: arith.split_d(3, 1.5),
+    "lt_predict N=10.5": lambda: lt_predict(3, 1, 10.5),
+    "lt_predict bound=2, zero density": lambda: lt_predict(1, 3, 100, prime_bound=2),
+    "ap_fast p=0": lambda: ap_fast(3, 0),
+    "ap_fast p='13'": lambda: ap_fast(3, "13"),
+}
+
+
+@pytest.mark.parametrize("call", list(_BAD_ARGUMENT_CALLS))
+def test_bad_argument_rejected(call):
+    with pytest.raises(PreconditionError):
+        _BAD_ARGUMENT_CALLS[call]()
+
+
 def test_numpy_integer_D_accepted():
     for route in ("ap_naive", "ap_fast", "density_formula", "sweep"):
         assert _D_ROUTES[route](np.int64(2)) == _D_ROUTES[route](2), route
     rep = sweep(np.int64(-21), np.int64(2), np.int64(10**5))
     assert type(rep.D) is type(rep.r) is type(rep.N) is int
+    assert density_oracle(-21, np.int64(2)) == density_oracle(-21, 2)
+    assert sigma_sums(-21, np.int64(1)) == sigma_sums(-21, 1)
+    # a numpy r whose square passes 2^63
+    assert lt_constant(-21, np.int64(10**10), 1000) == lt_constant(-21, 10**10, 1000)
 
 
 def test_cm_threads_is_one():
