@@ -266,6 +266,7 @@ def density_oracle(
     trace of the class is well defined: primes in one class share their
     quartic data, which a dedicated test checks separately.
     """
+    x_max = _as_int(x_max, "density_oracle: x_max")
     if D == 0 or r == 0:
         raise PreconditionError("density_oracle wants nonzero D and r")
     D0 = reduce_quartic_twist(D)
@@ -287,6 +288,7 @@ def sigma_sums(D: int, r: int, x_max: int = 100_000) -> SigmaTriple:
     parity of k. These are the raw sums the closed forms solve for, so the
     identities relating them to the class counts make good cross-checks.
     """
+    x_max = _as_int(x_max, "sigma_sums: x_max")
     if D == 0 or r == 0:
         raise PreconditionError("sigma_sums wants nonzero D and r")
     D0 = reduce_quartic_twist(D)

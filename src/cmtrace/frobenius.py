@@ -17,7 +17,7 @@ import numpy as np
 from .arith import reduce_quartic_twist  # re-exported as part of this surface
 from .errors import PreconditionError, _as_int
 from .gaussian import two_squares
-from .primes import _MULMOD_BOUND, _mod_primes, _mulmod, _pow_mod_array, is_prime_u64
+from .primes import _mod_primes, _pow_mod_array, is_prime_u64
 
 __all__ = [
     "CurveD",
@@ -75,6 +75,7 @@ def ap_naive(D, p: int) -> int:
     grinding. Odd prime p with good reduction required.
     """
     D = _coeff(D)
+    p = _as_int(p, "ap_naive: p")
     if p > NAIVE_CAP:
         raise PreconditionError(f"ap_naive: p={p} exceeds cap={NAIVE_CAP}")
     if p < 3 or not is_prime_u64(p):
@@ -106,6 +107,7 @@ def ap_binomial_residue(p: int) -> int:
     |2*alpha| < p/2 makes the lift exact. Computed by an O(p) running
     product, deliberately ignorant of Gaussian integers.
     """
+    p = _as_int(p, "ap_binomial_residue: p")
     if p % 4 != 1 or not is_prime_u64(p):
         raise PreconditionError(
             f"ap_binomial_residue wants a prime ≡ 1 (mod 4), got {p}"
@@ -169,22 +171,12 @@ def _ap_kernel_array(D: int, x, y: np.ndarray) -> np.ndarray:
     x may be one int for every leg. Same rule and preconditions as the
     scalar kernel, p <= 10^18; a p dividing D gets 0, as it does there,
     which no good prime ≡ 1 (mod 4) has. D is reduced mod p once, by
-    limbs, so any integer D works, numpy ints included. Legs with
-    p >= 2^50, beyond the exact vector mulmod, go through the scalar
-    kernel one by one.
+    limbs, so any integer D works, numpy ints included, and t is one
+    modular power seeded with alpha.
     """
-    D = int(D)
     x = np.broadcast_to(np.asarray(x, dtype=np.int64), np.shape(y))
     p = x * x + y * y
-    a = np.empty_like(p)
-    small = p < _MULMOD_BOUND
-    if not small.all():
-        big = ~small
-        a[big] = [_ap_kernel(D, u, v) for u, v in zip(x[big].tolist(), y[big].tolist())]
-        x, y, p = x[small], y[small], p[small]
     alpha = np.where(x % 2 == 1, x, y)
     alpha = np.where(alpha % 4 == 3, -alpha, alpha) % p
-    c = _pow_mod_array(_mod_primes(D, p), (p - 1) >> 2, p)
-    t = _mulmod(p)(c, alpha)
-    a[small] = 2 * np.where(t > p // 2, t - p, t)
-    return a
+    t = _pow_mod_array(_mod_primes(D, p), (p - 1) >> 2, p, alpha)
+    return 2 * np.where(t > p // 2, t - p, t)

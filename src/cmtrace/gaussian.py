@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _as_int
 from .primes import is_prime_u64
 
 
@@ -174,6 +174,7 @@ def sqrt_minus_one(p: int) -> int:
     The one primality gate of the two-squares stack: two_squares and every
     routine built on it reject a composite p here.
     """
+    p = _as_int(p, "sqrt_minus_one: p")
     if p % 4 != 1 or not is_prime_u64(p):
         raise PreconditionError(f"sqrt_minus_one wants a prime p ≡ 1 (mod 4), got {p}")
     e = (p - 1) // 4
@@ -183,15 +184,17 @@ def sqrt_minus_one(p: int) -> int:
     return min(z, p - z)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 16, typed=True)
 def two_squares(p: int) -> TwoSquares:
     """Normalized two-squares decomposition of a prime p ≡ 1 (mod 4).
 
     Cornacchia-style descent: run Euclid on (p, sqrt(-1) mod p); the first
     remainder below sqrt(p) is the odd leg up to sign. Any other p, a
     composite or p >= 2^64 included, raises PreconditionError from
-    sqrt_minus_one.
+    sqrt_minus_one. The cache is typed, so 13.0 never hits the entry of
+    np.int64(13) and is rejected like any other non-integer.
     """
+    p = _as_int(p, "two_squares: p")
     a, b = p, sqrt_minus_one(p)
     while b * b > p:
         a, b = b, a % b

@@ -2,7 +2,8 @@
 
 A sweep finds every prime p = r^2 + y^2 <= N with the fixed leg r by a
 quadratic-polynomial sieve over the legs y (Crandall & Pomerance, Prime
-Numbers, section 3.2), classifies the traces of all of them on their
+Numbers, section 3.2), which alone decides every leg, with one root rule
+for every sieving prime; it classifies the traces of all of them on their
 legs as one array, and packages the tallies next to the closed-form
 prediction and the Lang-Trotter style count prediction, so one report
 carries everything needed to eyeball (or assert) agreement. What depends
@@ -77,13 +78,14 @@ def _lt_predict(pair: DensityPair, r: int, N: int, prime_bound: int = 1_000_000)
 
 
 def _sqrt_minus_one_mod(q: np.ndarray) -> np.ndarray:
-    """A square root of -1 modulo each prime q ≡ 1 (mod 4), as int64.
+    """A square root of -1 modulo each odd prime q, as int64; 0 where q ≡ 3 (mod 4).
 
-    g^((q-1)/4) is one for any non-residue g; the least non-residue of q
-    is below sqrt(q) + 1, so counting g up from 2 finds it while g < q.
+    g^((q-1)/4) is one for any non-residue g of a q ≡ 1 (mod 4); the least
+    non-residue is below sqrt(q) + 1, so counting g up from 2 finds it
+    while g < q.
     """
-    root = np.empty_like(q)
-    todo = np.arange(q.size)
+    root = np.zeros_like(q)
+    todo = np.flatnonzero(q % 4 == 1)
     g = 2
     while todo.size:
         qt = q[todo]
@@ -96,16 +98,15 @@ def _sqrt_minus_one_mod(q: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2)
-def _sieve_base(root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The odd primes q <= root, those ≡ 1 (mod 4), and sqrt(-1) mod each
-    of the latter, read-only. No part depends on D or r, so a sweep reuses
-    them for every (D, r) with the same root = isqrt(N)."""
+def _sieve_base(root: int) -> tuple[np.ndarray, np.ndarray]:
+    """The odd primes q <= root and sqrt(-1) mod each (0 where q ≡ 3 (mod 4)),
+    read-only. Neither depends on D or r, so a sweep reuses them for every
+    (D, r) with the same root = isqrt(N)."""
     q = sieve_primes(root)[1:]
-    q1 = q[q % 4 == 1]
-    i1 = _sqrt_minus_one_mod(q1)
-    for arr in (q, q1, i1):
-        arr.setflags(write=False)
-    return q, q1, i1
+    i = _sqrt_minus_one_mod(q)
+    q.setflags(write=False)
+    i.setflags(write=False)
+    return q, i
 
 
 def _scan(D: int, r: int, N: int) -> tuple[int, int, int, int]:
@@ -113,41 +114,31 @@ def _scan(D: int, r: int, N: int) -> tuple[int, int, int, int]:
 
     y > 0 runs over the parity opposite to r (no other y can make p prime
     or even odd), as y = y0 + 2j for 0 <= j < n. An odd prime q divides
-    r^2 + y^2 exactly when q | r and q | y, or when q ≡ 1 (mod 4) and
-    y ≡ ±r*sqrt(-1) (mod q); the sieve marks those j for every odd
-    q <= isqrt(N). A composite p <= N has a prime factor <= isqrt(N), so
-    every unmarked p > isqrt(N) is prime. The few p <= isqrt(N), which may
-    be a sieving prime themselves, are prime exactly when they are one of
-    the sieving primes q, which one binary search over q decides. The
-    surviving legs stay one int64 array, and the vector kernel classifies
-    them all at once; its 0 marks the p dividing D.
+    r^2 + y^2 exactly when y ≡ ±r*sqrt(-1) (mod q), where sqrt(-1) exists
+    (q ≡ 1 (mod 4)) or q | r (then the root is y ≡ 0). For every odd
+    q <= isqrt(N) the sieve marks the j on those roots, starting one step
+    past the single leg with r^2 + y^2 = q, which is q itself and prime. A
+    composite p <= N has a prime factor q <= isqrt(N) other than p, so the
+    unmarked legs are exactly the primes. They stay one int64 array, and
+    the vector kernel classifies them all at once; its 0 marks the p
+    dividing D.
     """
     r2 = r * r
     y0 = 2 if r % 2 else 1
-    root = isqrt(N)
-
-    def legs_up_to(y_max: int) -> int:
-        return max(0, (y_max - y0) // 2 + 1)
-
-    n = legs_up_to(isqrt(N - r2))
-    n_small = legs_up_to(isqrt(root - r2)) if root > r2 else 0
-    q, q1, i1 = _sieve_base(root)
-    div = q[r % q == 0]
-    r1 = r % q1
-    split = r1 != 0
-    qs = q1[split]
-    ri = r1[split] * i1[split] % qs
-    steps = np.concatenate((div, qs, qs))
-    ys = np.concatenate((np.zeros_like(div), ri, qs - ri))
+    n = max(0, (isqrt(N - r2) - y0) // 2 + 1)
+    q, i = _sieve_base(isqrt(N))
+    rq = r % q
+    k = np.flatnonzero((i != 0) | (rq == 0))  # indices gather faster than a mask
+    steps = np.tile(q[k], 2)
+    ri = rq[k] * i[k]
+    ys = np.concatenate((ri, -ri))
     starts = (ys - y0) % steps * ((steps + 1) >> 1) % steps  # j = (y - y0)/2 mod q
+    y = starts * 2 + y0
+    starts += np.where(y * y + r2 == steps, steps, 0)  # step past p = q itself
     keep = starts < n
     composite = np.zeros(n, dtype=bool)
     for j, step in zip(starts[keep].tolist(), steps[keep].tolist()):
         composite[j::step] = True
-    if n_small:  # so q is not empty: r^2 + y0^2 <= root gives root >= 5
-        small = np.arange(y0, y0 + 2 * n_small, 2, dtype=np.int64) ** 2 + r2
-        at = np.searchsorted(q, small)
-        composite[:n_small] = q[np.minimum(at, q.size - 1)] != small
     legs = np.flatnonzero(~composite) * 2 + y0
 
     a = _ap_kernel_array(D, r, legs)

@@ -4,7 +4,9 @@ is_prime_u64 answers one-off primality questions. sieve_primes gives every
 prime below a bound, in order, to the sweep's polynomial sieve and the
 Hardy-Littlewood Euler products, which also share the exact array
 arithmetic below: an integer of any size mod an array of primes, and the
-elementwise modular product and power for moduli below 2^50.
+elementwise modular power for moduli up to 10^18. This module is the one
+place that knows where vector arithmetic stops being exact (2^50): the
+power runs a vector ladder below it and one Python pow per element above.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _as_int
 
 try:  # optional speedup, semantics identical (same witness sets)
     import gmpy2 as _gmpy2
@@ -50,9 +52,8 @@ def _mr_composite(n: int, a: int, d: int, s: int) -> bool:
 
 
 def is_prime_u64(n: int) -> bool:
-    """Deterministic primality for 0 <= n < 2^64."""
-    if not isinstance(n, int):
-        raise PreconditionError(f"is_prime_u64 wants an int, got {type(n).__name__}")
+    """Deterministic primality for 0 <= n < 2^64 (numpy integers included)."""
+    n = _as_int(n, "is_prime_u64: n")
     if n < 0 or n > _U64_MAX:
         raise PreconditionError(f"is_prime_u64 input out of range: {n}")
     if n < 2:
@@ -81,6 +82,7 @@ def sieve_primes(bound: int) -> np.ndarray:
     The sieve keeps one byte per odd number, and the primes are written
     into the single int64 array that is returned.
     """
+    bound = _as_int(bound, "sieve_primes: bound")
     if bound < 2:
         return np.empty(0, dtype=np.int64)
     if bound > 10**9:
@@ -154,14 +156,22 @@ def _mulmod(mod: np.ndarray):
     return mul
 
 
-def _pow_mod_array(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base**exp % mod elementwise on int64 arrays, 0 <= base < mod < 2^50.
+def _pow_mod_array(base: np.ndarray, exp: np.ndarray, mod: np.ndarray, start=1) -> np.ndarray:
+    """start * base**exp % mod elementwise on int64 arrays, 0 <= base, start < mod <= 10^18.
 
-    A square-and-multiply ladder over _mulmod, exact for every modulus in
-    that range.
+    start is one int or an array like mod. Moduli below 2^50 run one
+    square-and-multiply ladder over _mulmod, seeded with start; each
+    modulus at or above 2^50 takes one Python pow.
     """
+    result = np.array(np.broadcast_to(start, mod.shape), dtype=np.int64)
+    big = mod >= _MULMOD_BOUND
+    if big.any():
+        s, b, e, m = (v[big].tolist() for v in (result, base, exp, mod))
+        result[big] = [x * pow(y, z, w) % w for x, y, z, w in zip(s, b, e, m)]
+        small = ~big
+        result[small] = _pow_mod_array(base[small], exp[small], mod[small], result[small])
+        return result
     mul = _mulmod(mod)
-    result = np.ones_like(mod)
     while True:
         result = np.where(exp & 1, mul(result, base), result)
         exp = exp >> 1

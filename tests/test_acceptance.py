@@ -77,8 +77,9 @@ def test_criterion_02_fast_trace_equals_point_count():
     primes = [int(p) for p in sieve_primes(20_000)[1:]]  # odd primes
     compared = 0
     bad = []
-    for D in _D_BATTERY:
-        for p in primes:
+    # p outer, so each point count reuses _chi_table(p) across the battery
+    for p in primes:
+        for D in _D_BATTERY:
             if (2 * D) % p == 0:
                 continue
             compared += 1

@@ -23,7 +23,7 @@ from cmtrace.density import (
     sigma_sums,
 )
 from cmtrace.errors import PreconditionError
-from cmtrace.frobenius import _ap_kernel, ap_fast, ap_naive
+from cmtrace.frobenius import _ap_kernel, ap_binomial_residue, ap_fast, ap_naive
 from cmtrace.lab import (
     SweepReport,
     lt_predict,
@@ -144,17 +144,23 @@ def test_mulmod_rejects_modulus_from_2_50():
         _mulmod(np.array([5, 1 << 50], dtype=np.int64))
 
 
-@pytest.mark.parametrize("top", [3_037_000_500, 3_037_000_501, (1 << 50) - 1])
+@pytest.mark.parametrize("top", [3_037_000_500, 3_037_000_501, (1 << 50) - 1, 10**18])
 def test_pow_mod_array_vs_python(top):
-    # the largest modulus picks the multiply: int64 products up to
-    # 3_037_000_500, the float64 quotient above it, up to 2^50
+    # the largest modulus below 2^50 picks the multiply: int64 products up
+    # to 3_037_000_500, the float64 quotient above it; every call also
+    # holds moduli from 2^50 to 10^18, which take Python's pow
     rng = random.Random(top)
     mod = [top - k for k in range(40)] + [rng.randrange(3, top) for _ in range(40)]
+    mod += [1 << 50, 10**18] + [rng.randrange(1 << 50, 10**18) for _ in range(8)]
     base = [m - 1 - k % 3 for k, m in enumerate(mod)]
     base[40:] = [rng.randrange(m) for m in mod[40:]]
     exp = [rng.randrange(1 << 51) for _ in mod]
-    got = _pow_mod_array(*(np.array(v, dtype=np.int64) for v in (base, exp, mod)))
+    start = [rng.randrange(m) for m in mod]
+    arrays = [np.array(v, dtype=np.int64) for v in (base, exp, mod)]
+    got = _pow_mod_array(*arrays)
     assert got.tolist() == [pow(b, e, m) for b, e, m in zip(base, exp, mod)]
+    got = _pow_mod_array(*arrays, np.array(start, dtype=np.int64))
+    assert got.tolist() == [s * pow(b, e, m) % m for s, b, e, m in zip(start, base, exp, mod)]
 
 
 def test_no_table_at_import():
@@ -309,6 +315,9 @@ def _sweep_args(draw):
 @example(args=(-34, 1, 5000))  # p = 17 divides 2D
 @example(args=(3, 195, 10**7))  # 195 = 3 * 5 * 13
 @example(args=(7, 15, 4 * 10**9))  # p crosses 3.03e9, where the kernel's mulmod changes
+@example(args=(-21, 2, 841))   # r even: p = 5, 13, 29 are sieving primes on their own legs
+@example(args=(-21, 6, 10**4))  # 3 | r with 3 ≡ 3 (mod 4): its only root is y ≡ 0
+@example(args=(-21, 15, 10**5))  # 3 and 5 | r: q ≡ 3 and q ≡ 1 (mod 4) both divide r
 def test_sweep_matches_scalar_scan(args):
     assert _tally(sweep(*args)) == scalar_scan(*args)
 
@@ -431,8 +440,8 @@ def _log_prime_tests(monkeypatch, driver):
 
 
 def test_sweep_makes_no_primality_test(monkeypatch):
-    # the sieve decides every p > isqrt(N) = 1000, and the sieving primes
-    # themselves decide the candidates p = r^2 + y^2 <= 1000
+    # the sieve decides every candidate, the sieving primes p = r^2 + y^2
+    # <= isqrt(N) = 1000 among them
     log = _log_prime_tests(monkeypatch, lab)
     for r in (1, 2):
         assert sweep(-21, r, 10**6).n_primes > 0
@@ -548,6 +557,9 @@ _BAD_ARGUMENT_CALLS = {
     "lt_predict bound=2, zero density": lambda: lt_predict(1, 3, 100, prime_bound=2),
     "ap_fast p=0": lambda: ap_fast(3, 0),
     "ap_fast p='13'": lambda: ap_fast(3, "13"),
+    "density_oracle x_max=1.5": lambda: density_oracle(-21, 1, x_max=1.5),
+    "sigma_sums x_max=1.5": lambda: sigma_sums(-21, 1, x_max=1.5),
+    "sieve_primes bound=10.5": lambda: sieve_primes(10.5),
 }
 
 
@@ -555,6 +567,30 @@ _BAD_ARGUMENT_CALLS = {
 def test_bad_argument_rejected(call):
     with pytest.raises(PreconditionError):
         _BAD_ARGUMENT_CALLS[call]()
+
+
+# every entry that takes a prime p alone, or p next to D
+_P_ROUTES = {
+    "is_prime_u64": is_prime_u64,
+    "sqrt_minus_one": gaussian.sqrt_minus_one,
+    "two_squares": gaussian.two_squares,
+    "primary_prime_above": gaussian.primary_prime_above,
+    "two_quartic_class": residue_symbols.two_quartic_class,
+    "ap_naive": lambda p: ap_naive(3, p),
+    "ap_binomial_residue": ap_binomial_residue,
+}
+
+
+@pytest.mark.parametrize("p", [np.int64(13), np.uint64(13), 13.0, "13"], ids=repr)
+@pytest.mark.parametrize("route", list(_P_ROUTES))
+def test_prime_argument_types(route, p):
+    # a numpy integer p gives the int result, ints inside; anything else is rejected
+    fn = _P_ROUTES[route]
+    if isinstance(p, np.integer):
+        assert repr(fn(p)) == repr(fn(13))
+    else:
+        with pytest.raises(PreconditionError):
+            fn(p)
 
 
 def test_numpy_integer_D_accepted():
