@@ -214,11 +214,19 @@ class ProgressionSet:
         return 4 * self.D_abs * x + 2 * k + rho(self.r)
 
 
+# the classes are walked one gcd at a time, 2|D| of them
+_PROGRESSION_D_MAX = 10**5
+
+
 def progression_set(D: int, r: int) -> ProgressionSet:
+    """The surviving classes k of (D, r), for 0 < |D| <= 10^5 and r != 0."""
+    D = _as_int(D, "progression_set: D")
     r = _as_int(r, "progression_set: r")
     if D == 0 or r == 0:
         raise PreconditionError("progression_set wants nonzero D and r")
     D_abs = abs(D)
+    if D_abs > _PROGRESSION_D_MAX:
+        raise PreconditionError(f"progression_set wants |D| <= {_PROGRESSION_D_MAX}, got {D}")
     off = rho(r)
     ks = tuple(
         k for k in range(1, 2 * D_abs + 1) if gcd(D_abs, (2 * k + off) ** 2 + r * r) == 1

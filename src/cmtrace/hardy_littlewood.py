@@ -114,22 +114,28 @@ def _hl_delta(f: HLPoly, prime_bound: int) -> float:
     return value
 
 
+# hl_count tests one value at a time, so it refuses a longer scan
+_HL_COUNT_MAX = 10**7
+
+
 def hl_count(f, n: int) -> int:
-    """Number of distinct primes <= n of the form f(x), x >= 0 an integer."""
+    """Number of distinct primes <= n of the form f(x), x >= 0 an integer.
+
+    The scan runs x = 0, 1, ... up to the first x past the vertex with
+    f(x) > n; an f and n that need more than 10^7 values are rejected.
+    """
     f = _as_poly(f)
     n = _as_int(n, "hl_count: n")
     if f.a <= 0:
         raise PreconditionError(f"hl_count wants a > 0, got {f}")
     if n < 0:
         raise PreconditionError(f"hl_count wants n >= 0, got {n}")
-    found: set[int] = set()
-    x = 0
-    while True:
-        v = f(x)
-        # past the vertex and above n means every later value is too big
-        if v > n and 2 * f.a * x + f.a + f.b > 0:
-            break
-        if 2 <= v <= n and is_prime_u64(v):
-            found.add(v)
-        x += 1
+    # f rises from x_rise on (2ax + a + b > 0), and f(x) <= n iff (2ax + b)^2 <= disc + 4an,
+    # so the scan ends at x_rise or at the first x with 2ax + b > isqrt(disc + 4an), if later
+    x_rise = max(0, -(f.a + f.b) // (2 * f.a) + 1)
+    span = f.disc + 4 * f.a * n
+    x_end = max(x_rise, (isqrt(span) - f.b) // (2 * f.a) + 1) if span >= 0 else x_rise
+    if x_end > _HL_COUNT_MAX:
+        raise PreconditionError(f"hl_count: {f} needs {x_end} values, over {_HL_COUNT_MAX}")
+    found = {v for v in map(f, range(x_end)) if 2 <= v <= n and is_prime_u64(v)}
     return len(found)

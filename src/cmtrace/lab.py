@@ -3,7 +3,8 @@
 A sweep finds every prime p = r^2 + y^2 <= N with the fixed leg r by a
 quadratic-polynomial sieve over the legs y (Crandall & Pomerance, Prime
 Numbers, section 3.2), which alone decides every leg, with one root rule
-for every sieving prime; it classifies the traces of all of them on their
+for every sieving prime, marked by primes._unmarked like sieve_primes'
+own multiples; it classifies the traces of all of them on their
 legs as one array, and packages the tallies next to the closed-form
 prediction and the Lang-Trotter style count prediction, so one report
 carries everything needed to eyeball (or assert) agreement. What depends
@@ -18,6 +19,7 @@ import csv
 import functools
 import io
 import json
+import sys
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -28,7 +30,7 @@ import numpy as np
 from .density import DensityPair, _lt_constant, density_formula
 from .errors import PreconditionError, _as_int
 from .frobenius import _ap_kernel_array
-from .primes import _pow_mod_array, sieve_primes
+from .primes import _SIEVE_MAX, _pow_mod_array, _unmarked, sieve_primes
 
 __all__ = [
     "SweepReport",
@@ -38,8 +40,7 @@ __all__ = [
 ]
 
 
-# sieving to isqrt(N) needs sieve_primes, which stops at 10^9
-_N_MAX = 10**18
+_N_MAX = _SIEVE_MAX**2  # the sieving primes go to isqrt(N)
 
 
 def _sig6(x: float) -> float:
@@ -65,10 +66,13 @@ class SweepReport:
 
 
 def lt_predict(D: int, r: int, N: int, prime_bound: int = 1_000_000) -> float:
-    """Predicted count of primes p <= N with a_p = 2r: C * sqrt(N)/log N."""
+    """Predicted count of primes p <= N with a_p = 2r: C * sqrt(N)/log N.
+
+    N runs from 3 to the largest float, since sqrt(N) is taken in floats.
+    """
     N = _as_int(N, "lt_predict: N")
-    if N < 3:
-        raise PreconditionError(f"lt_predict wants N >= 3, got {N}")
+    if not 3 <= N <= sys.float_info.max:
+        raise PreconditionError(f"lt_predict wants 3 <= N <= {sys.float_info.max:.6g}, got {N}")
     return _lt_predict(density_formula(D, r), r, N, prime_bound)
 
 
@@ -135,11 +139,7 @@ def _scan(D: int, r: int, N: int) -> tuple[int, int, int, int]:
     starts = (ys - y0) % steps * ((steps + 1) >> 1) % steps  # j = (y - y0)/2 mod q
     y = starts * 2 + y0
     starts += np.where(y * y + r2 == steps, steps, 0)  # step past p = q itself
-    keep = starts < n
-    composite = np.zeros(n, dtype=bool)
-    for j, step in zip(starts[keep].tolist(), steps[keep].tolist()):
-        composite[j::step] = True
-    legs = np.flatnonzero(~composite) * 2 + y0
+    legs = _unmarked(n, starts, steps) * 2 + y0
 
     a = _ap_kernel_array(D, r, legs)
     n_primes = int(np.count_nonzero(a))

@@ -1,12 +1,14 @@
 """Primality and prime enumeration.
 
 is_prime_u64 answers one-off primality questions. sieve_primes gives every
-prime below a bound, in order, to the sweep's polynomial sieve and the
-Hardy-Littlewood Euler products, which also share the exact array
-arithmetic below: an integer of any size mod an array of primes, and the
-elementwise modular power for moduli up to 10^18. This module is the one
-place that knows where vector arithmetic stops being exact (2^50): the
-power runs a vector ladder below it and one Python pow per element above.
+prime below a bound (at most 10^9), in order, to the sweep's polynomial
+sieve and the Hardy-Littlewood Euler products; _unmarked, the one routine
+that marks sieve progressions, serves sieve_primes and the sweep's legs
+alike. The callers also share the exact array arithmetic below: an integer
+of any size mod an array of primes, and the elementwise modular power for
+moduli up to 10^18. This module is the one place that knows where vector
+arithmetic stops being exact (2^50): the power runs a vector ladder below
+it and one Python pow per element above.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ except ImportError:  # pragma: no cover - environment dependent
     _gmpy2 = None
 
 _U64_MAX = (1 << 64) - 1
+_SIEVE_MAX = 10**9  # sieve_primes' largest bound
 
 # Deterministic Miller-Rabin witnesses: correct for every n < 3.317e24,
 # which covers the full u64 range with a wide margin.
@@ -76,24 +79,28 @@ def is_prime_u64(n: int) -> bool:
     return not any(_mr_composite(n, a, d, s) for a in bases)
 
 
+def _unmarked(n: int, starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The j in [0, n) on no progression starts[k] + m*steps[k], one slice each."""
+    keep = starts < n
+    mask = np.ones(n, dtype=bool)
+    for j, step in zip(starts[keep].tolist(), steps[keep].tolist()):
+        mask[j::step] = False
+    return np.flatnonzero(mask)
+
+
 def sieve_primes(bound: int) -> np.ndarray:
     """All primes <= bound as an int64 array (empty for bound < 2).
 
-    The sieve keeps one byte per odd number, and the primes are written
-    into the single int64 array that is returned.
+    Index i stands for 2i + 1. Each odd prime q <= isqrt(bound) marks its odd
+    multiples from q^2 on; index 0, the 1, is never marked and becomes the 2.
     """
     bound = _as_int(bound, "sieve_primes: bound")
     if bound < 2:
         return np.empty(0, dtype=np.int64)
-    if bound > 10**9:
+    if bound > _SIEVE_MAX:
         raise PreconditionError(f"sieve bound too large: {bound}")
-    odd = np.ones((bound + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1
-    for i in range(1, (isqrt(bound) + 1) // 2):
-        if odd[i]:
-            p = 2 * i + 1
-            odd[p * p // 2 :: p] = False
-    # odd[0] stands for 1; it is kept and becomes the 2
-    primes = np.flatnonzero(odd)
+    q = sieve_primes(isqrt(bound))[1:]
+    primes = _unmarked((bound + 1) // 2, q * q // 2, q)
     primes *= 2
     primes += 1
     primes[0] = 2

@@ -142,6 +142,7 @@ def quartic_class_of(D: int, p: int) -> FourClass:
     is the member of ±alpha, ±beta that the class names: the class of
     ap_fast's trace.
     """
+    p = _as_int(p, "quartic_class_of: p")
     if p % 4 != 1:
         raise PreconditionError(f"quartic_class_of wants p ≡ 1 (mod 4), got {p}")
     return _trace_class(ap_fast(D, p))

@@ -167,6 +167,13 @@ def test_progression_set_count():
                 assert len(ps.ks) == 2 * tau(D)
 
 
+def test_progression_set_cap():
+    # |D| up to 10^5 is walked class by class; beyond it, an error before the walk
+    assert len(progression_set(-(10**5), 1).ks) == 2 * tau(10**5)
+    with pytest.raises(PreconditionError):
+        progression_set(10**5 + 1, 1)
+
+
 def test_progression_y_values():
     ps = progression_set(5, 1)
     assert ps.y_of(ps.ks[0], 0) == 2 * ps.ks[0]

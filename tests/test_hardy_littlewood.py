@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cmtrace import hardy_littlewood
 from cmtrace.errors import PreconditionError
 from cmtrace.hardy_littlewood import (
     HLPoly,
@@ -149,6 +150,20 @@ def test_count_negative_n_rejects():
     for coeffs in ((-1, 0, 5), (0, 0, 5), (0, -1, 7)):
         with pytest.raises(PreconditionError):
             hl_count(coeffs, 10)
+
+
+def test_count_scan_cap(monkeypatch):
+    # the scan length is exact: x^2 + 1 <= 100 needs x = 0..9, and <= 101 one more
+    monkeypatch.setattr(hardy_littlewood, "_HL_COUNT_MAX", 10)
+    assert hl_count((1, 0, 1), 100) == 4
+    with pytest.raises(PreconditionError):
+        hl_count((1, 0, 1), 101)
+    # (x - 20)^2 + 1 <= 10 still scans x = 0..23, past the vertex
+    monkeypatch.setattr(hardy_littlewood, "_HL_COUNT_MAX", 24)
+    assert hl_count((1, -40, 401), 10) == 2
+    monkeypatch.setattr(hardy_littlewood, "_HL_COUNT_MAX", 23)
+    with pytest.raises(PreconditionError):
+        hl_count((1, -40, 401), 10)
 
 
 def test_count_matches_delta_asymptotics():

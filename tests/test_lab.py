@@ -24,6 +24,7 @@ from cmtrace.density import (
 )
 from cmtrace.errors import PreconditionError
 from cmtrace.frobenius import _ap_kernel, ap_binomial_residue, ap_fast, ap_naive
+from cmtrace.hardy_littlewood import hl_count
 from cmtrace.lab import (
     SweepReport,
     lt_predict,
@@ -31,7 +32,14 @@ from cmtrace.lab import (
     report_from_dict,
     sweep,
 )
-from cmtrace.primes import _mod_primes, _mulmod, _pow_mod_array, is_prime_u64, sieve_primes
+from cmtrace.primes import (
+    _mod_primes,
+    _mulmod,
+    _pow_mod_array,
+    _unmarked,
+    is_prime_u64,
+    sieve_primes,
+)
 from oracles import brute_ap, primes_up_to, trial_is_prime
 
 
@@ -112,6 +120,27 @@ def test_sieve_primes_memory():
     finally:
         tracemalloc.stop()
     assert peak <= primes_arr.nbytes + (bound + 1) // 2 + 2**16, peak
+
+
+@st.composite
+def _progressions(draw):
+    n = draw(st.integers(0, 2000))
+    k = draw(st.integers(0, 50))
+    starts = draw(st.lists(st.integers(0, 2 * n), min_size=k, max_size=k))
+    steps = draw(st.lists(st.integers(1, 100), min_size=k, max_size=k))
+    return n, np.array(starts, dtype=np.int64), np.array(steps, dtype=np.int64)
+
+
+@settings(deadline=None, max_examples=300)
+@given(args=_progressions())
+@example(args=(0, np.empty(0, np.int64), np.empty(0, np.int64)))
+@example(args=(10, np.array([10, 19], np.int64), np.array([1, 3], np.int64)))  # starts >= n
+@example(args=(10, np.array([0, 9], np.int64), np.array([1, 1], np.int64)))  # everything marked
+def test_unmarked_vs_brute_force(args):
+    n, starts, steps = args
+    marked = {j for s, q in zip(starts.tolist(), steps.tolist()) for j in range(s, n, q)}
+    got = _unmarked(n, starts, steps)
+    assert got.tolist() == [j for j in range(n) if j not in marked]
 
 
 def test_mod_primes_vs_python():
@@ -560,6 +589,18 @@ _BAD_ARGUMENT_CALLS = {
     "density_oracle x_max=1.5": lambda: density_oracle(-21, 1, x_max=1.5),
     "sigma_sums x_max=1.5": lambda: sigma_sums(-21, 1, x_max=1.5),
     "sieve_primes bound=10.5": lambda: sieve_primes(10.5),
+    # past progression_set's cap (|D| <= 10^5) and hl_count's (10^7 values);
+    # without the caps each would walk 10^9 or more values one at a time
+    "progression_set D=10^12": lambda: arith.progression_set(10**12, 1),
+    "density_oracle D=10^9+7": lambda: density_oracle(10**9 + 7, 1),
+    "sigma_sums D=10^9+7": lambda: sigma_sums(10**9 + 7, 1),
+    "progression_set D=1.5": lambda: arith.progression_set(1.5, 1),
+    "progression_set D='7'": lambda: arith.progression_set("7", 1),
+    "hl_count n=10^40": lambda: hl_count((1, 0, 1), 10**40),
+    "hl_count 10^9 values to the vertex": lambda: hl_count((1, -2 * 10**9, 10**18 + 1), 10),
+    "quartic_class_of p='13'": lambda: residue_symbols.quartic_class_of(-21, "13"),
+    "quartic_value_of p='13'": lambda: residue_symbols.quartic_value_of(-21, "13"),
+    "lt_predict N=2^1024": lambda: lt_predict(-21, 1, 2**1024),
 }
 
 
