@@ -4,9 +4,11 @@ is_prime_u64 answers one-off primality questions. sieve_primes gives every
 prime below a bound (at most 10^9), in order, to the sweep's polynomial
 sieve and the Hardy-Littlewood Euler products; _unmarked, the one routine
 that marks sieve progressions, serves sieve_primes and the sweep's legs
-alike. The callers also share the exact array arithmetic below: an integer
-of any size mod an array of primes, and the elementwise modular power for
-moduli up to 10^18. This module is the one place that knows where vector
+alike, with one slice per progression of many marks and computed index
+arrays for the rest (Crandall & Pomerance, Prime Numbers, section 3.2).
+The callers also share the exact array arithmetic below: an integer of any
+size mod an array of primes, and the elementwise modular power for moduli
+up to 10^18. This module is the one place that knows where vector
 arithmetic stops being exact (2^50): the power runs a vector ladder below
 it and one Python pow per element above.
 """
@@ -26,6 +28,11 @@ except ImportError:  # pragma: no cover - environment dependent
 
 _U64_MAX = (1 << 64) - 1
 _SIEVE_MAX = 10**9  # sieve_primes' largest bound
+# _unmarked slices a progression with this many marks or more and marks the
+# rest by index, _MARK_BATCH progressions at a time; any threshold from 8 to
+# 512 ran the sweep equally fast
+_SPARSE_HITS = 32
+_MARK_BATCH = 4096
 
 # Deterministic Miller-Rabin witnesses: correct for every n < 3.317e24,
 # which covers the full u64 range with a wide margin.
@@ -80,11 +87,32 @@ def is_prime_u64(n: int) -> bool:
 
 
 def _unmarked(n: int, starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """The j in [0, n) on no progression starts[k] + m*steps[k], one slice each."""
-    keep = starts < n
+    """The j in [0, n) on no progression starts[k] + m*steps[k] (starts >= 0).
+
+    A progression with at least _SPARSE_HITS marks in [0, n) takes one
+    slice. The rest, the large steps of a sieve, take few marks each, so
+    they are marked together through one computed index array. The
+    progressions go _MARK_BATCH at a time, so no array outlives its batch
+    and a batch makes fewer than _MARK_BATCH * _SPARSE_HITS marks.
+    """
     mask = np.ones(n, dtype=bool)
-    for j, step in zip(starts[keep].tolist(), steps[keep].tolist()):
-        mask[j::step] = False
+    for lo in range(0, starts.size, _MARK_BATCH):
+        start, step = starts[lo:lo + _MARK_BATCH], steps[lo:lo + _MARK_BATCH]
+        hits = n - 1 - start
+        hits //= step
+        hits += 1
+        np.maximum(hits, 0, out=hits)  # a start at or past n marks nothing
+        dense = hits >= _SPARSE_HITS
+        for j, q in zip(start[dense].tolist(), step[dense].tolist()):
+            mask[j::q] = False
+        hits[dense] = 0
+        first = np.cumsum(hits)
+        j = np.arange(first[-1], dtype=np.int64)
+        first -= hits  # the rank of each progression's first mark
+        j -= np.repeat(first, hits)
+        j *= np.repeat(step, hits)
+        j += np.repeat(start, hits)
+        mask[j] = False
     return np.flatnonzero(mask)
 
 
@@ -140,11 +168,15 @@ _MULMOD_BOUND = 1 << 50
 def _mulmod(mod: np.ndarray):
     """The exact elementwise a * b % mod for residues 0 <= a, b < mod < 2^50.
 
-    Below 3.03e9 every product fits int64. Above it, q = a*b/m in float64
-    is within 1 of the true quotient (three roundings of 2^-53 each, on a
-    quotient below 2^50), so a*b - q*m, taken in wrapping int64, lies in
-    (-m, 2m) and is fixed by one correction up and one down. The choice is
-    made once, from the largest modulus.
+    Below 3.03e9 every product fits int64. Above it, q is a*b/m computed
+    in float64 and rounded to the nearest integer. a, b and m are exact in
+    float64, and the product, 1/m and the quotient each round once, by a
+    factor (1 + e) with |e| <= 2^-53. So the float quotient differs from the
+    true x = a*b/m < 2^50 by less than (3*2^-53 + 2^-104) * x < 0.376, and
+    the nearest integer to it is floor(x) or floor(x) + 1. Then
+    a*b - q*m = m*(x - q) lies in (-m, m), which wrapping int64 arithmetic
+    gives exactly, and one correction, adding m where it is negative, makes
+    it the residue. The choice is made once, from the largest modulus.
     """
     top = int(mod.max()) if mod.size else 0
     if top <= _INT64_MOD_MAX:
@@ -154,10 +186,16 @@ def _mulmod(mod: np.ndarray):
     inv = 1.0 / mod
 
     def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        q = (a.astype(np.float64) * b * inv).astype(np.int64)
-        r = a * b - q * mod
-        r += np.where(r < 0, mod, 0)
-        r -= np.where(r >= mod, mod, 0)
+        x = a.astype(np.float64)
+        x *= b
+        x *= inv
+        q = np.rint(x, out=x).astype(np.int64)
+        q *= mod
+        r = a * b
+        r -= q
+        np.right_shift(r, 63, out=q)  # -1 where r < 0, else 0
+        q &= mod
+        r += q
         return r
 
     return mul

@@ -33,6 +33,7 @@ from cmtrace.lab import (
     sweep,
 )
 from cmtrace.primes import (
+    _INT64_MOD_MAX,
     _mod_primes,
     _mulmod,
     _pow_mod_array,
@@ -128,19 +129,50 @@ def _progressions(draw):
     k = draw(st.integers(0, 50))
     starts = draw(st.lists(st.integers(0, 2 * n), min_size=k, max_size=k))
     steps = draw(st.lists(st.integers(1, 100), min_size=k, max_size=k))
-    return n, np.array(starts, dtype=np.int64), np.array(steps, dtype=np.int64)
+    batch = draw(st.sampled_from((1, 3, primes._MARK_BATCH)))
+    return n, np.array(starts, dtype=np.int64), np.array(steps, dtype=np.int64), batch
+
+
+def _arrays(*values):
+    return tuple(np.array(v, dtype=np.int64) for v in values)
 
 
 @settings(deadline=None, max_examples=300)
 @given(args=_progressions())
-@example(args=(0, np.empty(0, np.int64), np.empty(0, np.int64)))
-@example(args=(10, np.array([10, 19], np.int64), np.array([1, 3], np.int64)))  # starts >= n
-@example(args=(10, np.array([0, 9], np.int64), np.array([1, 1], np.int64)))  # everything marked
+@example(args=(0, *_arrays([], []), primes._MARK_BATCH))
+@example(args=(10, *_arrays([10, 19], [1, 3]), primes._MARK_BATCH))  # starts >= n
+@example(args=(10, *_arrays([0, 9], [1, 1]), primes._MARK_BATCH))  # everything marked
+# 33 and 32 marks take a slice, 31 and 2 an index each
+@example(args=(1000, *_arrays([3, 0, 0, 5], [31, 32, 33, 500]), primes._MARK_BATCH))
+# both kinds in each of three batches
+@example(args=(1000, *_arrays([3, 5, 0, 0, 1, 998], [31, 500, 32, 33, 7, 1]), 2))
 def test_unmarked_vs_brute_force(args):
-    n, starts, steps = args
+    n, starts, steps, batch = args
     marked = {j for s, q in zip(starts.tolist(), steps.tolist()) for j in range(s, n, q)}
-    got = _unmarked(n, starts, steps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "_MARK_BATCH", batch)
+        got = _unmarked(n, starts, steps)
     assert got.tolist() == [j for j in range(n) if j not in marked]
+
+
+@pytest.mark.parametrize("k, hits", [(10**5, 1), (2 * 10**4, primes._SPARSE_HITS - 1)])
+def test_unmarked_memory(k, hits):
+    # k progressions below the slice threshold mark every even j < n by
+    # index; past the mask and the result, only one batch is held at a
+    # time: its index array and one temporary (16 bytes a mark, fewer than
+    # _SPARSE_HITS marks a progression) and 17 bytes a progression
+    n = 2 * k * hits
+    starts = np.arange(0, 2 * k, 2, dtype=np.int64)
+    steps = np.full(k, 2 * k, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        got = _unmarked(n, starts, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == list(range(1, n, 2))
+    batch = primes._MARK_BATCH * (16 * primes._SPARSE_HITS + 17)
+    assert peak <= n + got.nbytes + batch + 2**16, peak
 
 
 def test_mod_primes_vs_python():
@@ -165,6 +197,31 @@ def test_mulmod_vs_python(top):
         cases.append((x, rng.choice((inv, m - inv, rng.randrange(m), m - 1)), m))
     a, b, mod = (np.array(v, dtype=np.int64) for v in zip(*cases))
     assert _mulmod(mod)(a, b).tolist() == [x * y % m for x, y, m in cases]
+
+
+def _near_half(a, m, d):
+    # a, b, m with a*b ≡ (m + d)/2 (mod m), m odd: a*b/m is d/(2m) off a
+    # half-integer, so rounding the float quotient could go either way
+    return a, (m + d) // 2 * pow(a, -1, m) % m, m
+
+
+@settings(deadline=None, max_examples=500)
+@given(case=st.integers(_INT64_MOD_MAX + 1, (1 << 50) - 1).flatmap(
+    lambda m: st.tuples(st.integers(0, m - 1), st.integers(0, m - 1), st.just(m))))
+@example(case=((1 << 50) - 2, (1 << 50) - 2, (1 << 50) - 1))  # a = b = m - 1
+@example(case=_near_half((1 << 50) - 3, (1 << 50) - 1, 1))
+@example(case=_near_half((1 << 50) - 3, (1 << 50) - 1, -1))
+@example(case=_near_half(3**31, (1 << 50) - 3, 1))
+@example(case=_near_half(3**31, (1 << 50) - 3, -1))
+@example(case=_near_half(_INT64_MOD_MAX, _INT64_MOD_MAX + 1, 1))
+@example(case=_near_half(_INT64_MOD_MAX, _INT64_MOD_MAX + 1, -1))
+# a*b ≡ 2 and 1 (mod m), with the float quotient just under the integer a*b // m
+@example(case=(2_249_838_195, 76_827_199, _INT64_MOD_MAX + 1))
+@example(case=(684_565_693_906_371, 772_619_116_965_711, 10**15 + 37))
+def test_mulmod_float_quotient(case):
+    # the float64 path, with the quotient rounded to nearest and one correction
+    a, b, m = case
+    assert _mulmod(np.array([m], dtype=np.int64))(*_arrays([a], [b])).tolist() == [a * b % m]
 
 
 def test_mulmod_rejects_modulus_from_2_50():
@@ -364,6 +421,7 @@ def test_sweep_matches_scalar_scan_at_1e9(D, r):
     (2**70, 1, 10**6, (111, 59, 52, 0)),
     (-21, 1, 10**11, (18821, 4935, 4912, 8974)),
     (-21, 1, 10**12, (54109, 14230, 14098, 25781)),
+    (-21, 1, 10**14, (456361, 119864, 119325, 217172)),
 ])
 def test_sweep_pinned_tallies(D, r, N, tally):
     assert _tally(sweep(D, r, N)) == tally
