@@ -200,15 +200,13 @@ class ProgressionSet:
 
     For trace parameter r the candidate primes are p = r^2 + y^2 with
     y = 4*|D|*x + 2k + rho(r); k runs over 1..2|D| and survives iff
-    gcd(|D|, (2k + rho)^2 + r^2) = 1. ks_odd / ks_even split by the parity
-    of k, which the quartic sums track separately.
+    gcd(|D|, (2k + rho)^2 + r^2) = 1. The quartic sums split ks by the
+    parity of k themselves.
     """
 
     D_abs: int
     r: int
     ks: tuple[int, ...]
-    ks_odd: tuple[int, ...]
-    ks_even: tuple[int, ...]
 
     def y_of(self, k: int, x: int) -> int:
         return 4 * self.D_abs * x + 2 * k + rho(self.r)
@@ -231,9 +229,7 @@ def progression_set(D: int, r: int) -> ProgressionSet:
     ks = tuple(
         k for k in range(1, 2 * D_abs + 1) if gcd(D_abs, (2 * k + off) ** 2 + r * r) == 1
     )
-    ks_odd = tuple(k for k in ks if k % 2 == 1)
-    ks_even = tuple(k for k in ks if k % 2 == 0)
-    return ProgressionSet(D_abs=D_abs, r=r, ks=ks, ks_odd=ks_odd, ks_even=ks_even)
+    return ProgressionSet(D_abs=D_abs, r=r, ks=ks)
 
 
 def reduce_quartic_twist(D: int) -> int:

@@ -92,7 +92,14 @@ def _cmd_hl(args) -> int:
     return 0
 
 
+# zero-scan walks its grid one (D, r) at a time, so it refuses a larger one
+_ZERO_SCAN_MAX = 10**6
+
+
 def _cmd_zero_scan(args) -> int:
+    cells = (2 * max(args.dmax, 0) + 1) * (2 * max(args.rmax, 0) + 1)
+    if cells > _ZERO_SCAN_MAX:
+        raise PreconditionError(f"zero-scan grid has {cells} (D, r) cells, over {_ZERO_SCAN_MAX}")
     rows = 0
     formula_only = 0
     for D in range(-args.dmax, args.dmax + 1):

@@ -21,11 +21,6 @@ import numpy as np
 
 from .errors import PreconditionError, _as_int
 
-try:  # optional speedup, semantics identical (same witness sets)
-    import gmpy2 as _gmpy2
-except ImportError:  # pragma: no cover - environment dependent
-    _gmpy2 = None
-
 _U64_MAX = (1 << 64) - 1
 _SIEVE_MAX = 10**9  # sieve_primes' largest bound
 # _unmarked slices a progression with this many marks or more and marks the
@@ -76,8 +71,6 @@ def is_prime_u64(n: int) -> bool:
     # n > 97^2 would be needed for trial division alone; everything surviving
     # to here is > 97 and coprime to all bases, so MR is clean.
     bases = _MR_SMALL_BASES if n < _MR_SMALL_BOUND else _MR_BASES
-    if _gmpy2 is not None:
-        return all(_gmpy2.is_strong_prp(n, a) for a in bases)
     d = n - 1
     s = 0
     while d % 2 == 0:

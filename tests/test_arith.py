@@ -162,7 +162,7 @@ def test_progression_set_count():
             sp = split_d(D, r)
             want = 2 * euler_phi(sp.d) * tau(sp.dbar)
             assert len(ps.ks) == want, (D, r)
-            assert len(ps.ks_odd) == len(ps.ks_even)
+            assert 2 * sum(k % 2 for k in ps.ks) == len(ps.ks)
             if sp.d == 1:
                 assert len(ps.ks) == 2 * tau(D)
 

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmtrace.cli import build_parser, main
 
@@ -136,6 +140,14 @@ def test_zero_scan(capsys):
     assert "vanishing pairs" in out
 
 
+def test_zero_scan_cap_exits_2(capsys):
+    # (2*500 + 1)^2 cells is just over 10^6; the grid is refused before its first row
+    for dmax, rmax in ((500, 500), (3, 10**20), (10**20, -1)):
+        code, out, err = run(capsys, "zero-scan", "--dmax", str(dmax), "--rmax", str(rmax))
+        assert code == 2 and out == "", (dmax, rmax)
+        assert "cells" in err
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -169,3 +181,44 @@ def test_parser_builds_once():
     ap = build_parser()
     ns = ap.parse_args(["density", "--D", "3", "--r", "2", "--mode", "formula"])
     assert ns.D == 3 and ns.r == 2 and ns.fn is not None
+
+
+# each subcommand's integer flags, drawn from small ranges so that a run is short
+_SMALL = {
+    "ap": {"D": (-60, 60), "p": (-10, 10**4)},
+    "density": {"D": (-60, 60), "r": (-60, 60), "xmax": (-10, 1000)},
+    "sweep": {"D": (-60, 60), "r": (-60, 60), "N": (-10, 10**6)},
+    "hl": {"a": (-60, 60), "b": (-60, 60), "c": (-60, 60), "bound": (-10, 10**4),
+           "count-to": (-10, 10**6)},
+    "zero-scan": {"dmax": (-5, 60), "rmax": (-5, 12)},
+}
+_CHOICES = {"ap": ("--method", ("naive", "fast", "both")),
+            "density": ("--mode", ("formula", "oracle", "both"))}
+# values far past every cap, put in at most one flag of a draw
+HUGE = (2**63, -(2**63), 10**20)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_SMALL)))
+    values = {flag: draw(st.integers(lo, hi)) for flag, (lo, hi) in _SMALL[command].items()}
+    huge = draw(st.sampled_from((None, *values)))
+    if huge is not None:
+        values[huge] = draw(st.sampled_from(HUGE))
+    argv = [command, *(x for flag, v in values.items() for x in (f"--{flag}", str(v)))]
+    if command in _CHOICES:
+        flag, choices = _CHOICES[command]
+        argv += [flag, draw(st.sampled_from(choices))]
+    return argv
+
+
+@settings(deadline=None, max_examples=150)
+@given(argv=_argvs())
+def test_cli_integer_arguments_exit_0_or_2(argv):
+    # a bad request exits 2 (PreconditionError or argparse), never 1 or a traceback
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, code)

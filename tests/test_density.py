@@ -6,6 +6,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cmtrace
 from cmtrace.arith import progression_set, reduce_quartic_twist, shape_of, split_d
@@ -137,6 +139,17 @@ def test_oracle_vs_formula_grid():
             o, counts = density_oracle(D, r, x_max=30_000)
             assert f == o, (D, r, f, o)
             assert counts.total == len(progression_set(D, r).ks)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    D=st.one_of(st.integers(-5000, -101), st.integers(101, 5000)),
+    r=st.one_of(st.integers(-40, -1), st.integers(1, 40)),
+)
+@example(D=-4001, r=3)
+def test_oracle_vs_formula_beyond_grid(D, r):
+    # past the acceptance grid's |D| <= 100; the default x_max finds every class
+    assert density_oracle(D, r)[0] == density_formula(D, r), (D, r)
 
 
 def test_oracle_class_counts_sum():
