@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from cmtrace.errors import PreconditionError
 from cmtrace.frobenius import (
+    _BLOCK,
     NAIVE_CAP,
     CurveD,
+    _chi_table,
     _ap_kernel,
     _ap_kernel_array,
     ap_binomial_residue,
@@ -42,6 +44,19 @@ def test_ap_naive_vs_point_count():
         if D == 0 or D % p == 0:
             continue
         assert ap_naive(D, p) == brute_ap(D, p), (D, p)
+
+
+def test_chi_table_vs_euler():
+    # the table is filled a block of squares at a time; primes around one
+    # and two blocks of squares cover a first, a last and a partial block
+    edges = [p for p in range(_BLOCK - 60, 4 * _BLOCK + 60) if trial_is_prime(p)]
+    for p in [3, 5, 7, 13, 97] + edges[:4] + edges[-4:] + [
+        q for q in edges if abs(q - 2 * _BLOCK) < 30
+    ]:
+        want = [0] + [1 if pow(v, (p - 1) // 2, p) == 1 else -1 for v in range(1, p)]
+        chi = _chi_table(p)
+        assert chi.dtype == np.int8 and not chi.flags.writeable
+        assert chi.tolist() == want, p
 
 
 def test_ap_naive_rejects():
