@@ -140,8 +140,11 @@ def _shape(sign: int, fac: dict[int, int]) -> DShape:
         if l != 2:
             buckets[e].append(l)
     p_list, q_list, l_list = (tuple(buckets[e]) for e in (1, 2, 3))
-    r_counts = {i: sum(1 for l in p_list if l % 8 == i) for i in _RESIDUES}
-    t_counts = {i: sum(1 for l in l_list if l % 8 == i) for i in _RESIDUES}
+    r_counts, t_counts = dict.fromkeys(_RESIDUES, 0), dict.fromkeys(_RESIDUES, 0)
+    for l in p_list:
+        r_counts[l % 8] += 1
+    for l in l_list:
+        t_counts[l % 8] += 1
     return DShape(
         sign=sign,
         sigma=fac.get(2, 0),

@@ -238,6 +238,15 @@ def density_formula(D: int, r: int) -> DensityPair:
 # the progression oracle
 
 
+def _searchable_r(r, name: str) -> int:
+    # the representative search tests p = r^2 + y^2 with is_prime_u64, and
+    # from |r| = 2^32 on every such p is 2^64 or more
+    r = _as_int(r, f"{name}: r")
+    if abs(r) >= 1 << 32:
+        raise PreconditionError(f"{name}: r = {r} puts r^2 + y^2 past 2^64; |r| must be below 2^32")
+    return r
+
+
 def _find_representative(D_abs: int, r: int, k: int, x_max: int) -> int:
     """The first leg y of class k with r^2 + y^2 prime."""
     r2 = r * r
@@ -267,6 +276,7 @@ def density_oracle(
     quartic data, which a dedicated test checks separately.
     """
     x_max = _as_int(x_max, "density_oracle: x_max")
+    r = _searchable_r(r, "density_oracle")
     if D == 0 or r == 0:
         raise PreconditionError("density_oracle wants nonzero D and r")
     D0 = reduce_quartic_twist(D)
@@ -289,6 +299,7 @@ def sigma_sums(D: int, r: int, x_max: int = 100_000) -> SigmaTriple:
     identities relating them to the class counts make good cross-checks.
     """
     x_max = _as_int(x_max, "sigma_sums: x_max")
+    r = _searchable_r(r, "sigma_sums")
     if D == 0 or r == 0:
         raise PreconditionError("sigma_sums wants nonzero D and r")
     D0 = reduce_quartic_twist(D)

@@ -9,8 +9,11 @@ arrays for the rest (Crandall & Pomerance, Prime Numbers, section 3.2).
 The callers also share the exact array arithmetic below: an integer of any
 size mod an array of primes, and the elementwise modular power for moduli
 up to 10^18. This module is the one place that knows where vector
-arithmetic stops being exact (2^50): the power runs a vector ladder below
-it and one Python pow per element above.
+arithmetic stops being exact (2^50): below it the power runs a
+left-to-right vector ladder over fixed windows of exponent bits, on
+residues kept signed until its last multiply, a block of elements at a
+time (Crandall & Pomerance, section 9.3); above it, one Python pow per
+element.
 """
 
 from __future__ import annotations
@@ -156,20 +159,31 @@ def _mod_primes(c: int, p: np.ndarray) -> np.ndarray:
 _INT64_MOD_MAX = 3_037_000_500
 # float64 holds residues below 2^50 exactly, and its quotient is off by at most 1
 _MULMOD_BOUND = 1 << 50
+# _pow_mod_array's window of exponent bits and its block of elements, timed
+# on 2 vCPU. Over the kernel's inputs of twelve sweep-large cases (6.5k-9k
+# legs, exponents of 31-34 bits), windows of 2, 3 and 4 bits ran within 10%
+# of each other, 3 the fastest, and 5 bits was slower: a wider window saves
+# multiplies per bit but builds a table of 2^w rows. Over 456,361 legs (N =
+# 10^14), blocks of 2^13 to 2^16 ran within 6%, 2^12 was 14% slower; 2^14
+# holds every sweep-large call in one block and its table in 1 MiB.
+_POW_WINDOW = 3
+_POW_BLOCK = 1 << 14
 
 
-def _mulmod(mod: np.ndarray):
-    """The exact elementwise a * b % mod for residues 0 <= a, b < mod < 2^50.
+def _signed_mulmod(mod: np.ndarray):
+    """An elementwise a * b mod m in (-m, m), for -m < a, b < m < 2^50.
 
-    Below 3.03e9 every product fits int64. Above it, q is a*b/m computed
-    in float64 and rounded to the nearest integer. a, b and m are exact in
-    float64, and the product, 1/m and the quotient each round once, by a
-    factor (1 + e) with |e| <= 2^-53. So the float quotient differs from the
-    true x = a*b/m < 2^50 by less than (3*2^-53 + 2^-104) * x < 0.376, and
-    the nearest integer to it is floor(x) or floor(x) + 1. Then
-    a*b - q*m = m*(x - q) lies in (-m, m), which wrapping int64 arithmetic
-    gives exactly, and one correction, adding m where it is negative, makes
-    it the residue. The choice is made once, from the largest modulus.
+    Below 3.03e9 every product fits int64, and a*b % m is the residue.
+    Above it, q is a*b/m computed in float64 and rounded to the nearest
+    integer. a, b and m are exact in float64, and the product, 1/m and
+    the quotient each round once, by a factor (1 + e) with |e| <= 2^-53.
+    So the float quotient differs from the true x = a*b/m, |x| < m < 2^50,
+    by less than (3*2^-53 + 2^-104) * |x| < 0.376, and the nearest integer
+    q to it has |x - q| < 0.876. Then a*b - q*m = m*(x - q) lies in
+    (-m, m), which wrapping int64 arithmetic gives exactly. Signed inputs
+    give a signed output in (-m, m) again, so a chain of products needs
+    no correction until its end. The choice is made once, from the
+    largest modulus.
     """
     top = int(mod.max()) if mod.size else 0
     if top <= _INT64_MOD_MAX:
@@ -180,25 +194,70 @@ def _mulmod(mod: np.ndarray):
 
     def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         x = a.astype(np.float64)
-        x *= b
+        x *= x if b is a else b.astype(np.float64)  # float * float beats float * int64
         x *= inv
         q = np.rint(x, out=x).astype(np.int64)
         q *= mod
         r = a * b
         r -= q
-        np.right_shift(r, 63, out=q)  # -1 where r < 0, else 0
-        q &= mod
-        r += q
         return r
 
     return mul
 
 
+def _mulmod(mod: np.ndarray):
+    """The exact elementwise a * b % mod for residues 0 <= a, b < mod < 2^50:
+    the signed product of _signed_mulmod and one correction, adding mod
+    where it is negative."""
+    mul = _signed_mulmod(mod)
+
+    def exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        r = mul(a, b)
+        c = np.right_shift(r, 63)  # -1 where r < 0, else 0
+        c &= mod
+        r += c
+        return r
+
+    return exact
+
+
+def _pow_block(base: np.ndarray, exp: np.ndarray, mod: np.ndarray, start: np.ndarray) -> np.ndarray:
+    # _pow_mod_array on one non-empty block whose moduli are all below 2^50
+    n = mod.size
+    mul = _signed_mulmod(mod)
+    table = np.empty((1 << _POW_WINDOW, n), dtype=np.int64)  # base**d in row d
+    table[0] = 1
+    table[1] = base
+    for d in range(2, 1 << _POW_WINDOW):
+        table[d] = mul(table[d - 1], base)
+    table = table.ravel()
+    cols = np.arange(n, dtype=np.int64)
+
+    def entry(shift: int) -> np.ndarray:
+        # base**d for the digit d of each exponent's _POW_WINDOW bits from shift up
+        d = exp >> shift
+        d &= (1 << _POW_WINDOW) - 1
+        d *= n
+        d += cols
+        return table.take(d)  # one take on the flat table: table[d, cols] took 4x as long
+
+    top = (max(int(exp.max()).bit_length(), 1) - 1) // _POW_WINDOW * _POW_WINDOW
+    acc = entry(top)
+    for shift in range(top - _POW_WINDOW, -1, -_POW_WINDOW):
+        for _ in range(_POW_WINDOW):
+            acc = mul(acc, acc)
+        acc = mul(acc, entry(shift))
+    return _mulmod(mod)(acc, start)
+
+
 def _pow_mod_array(base: np.ndarray, exp: np.ndarray, mod: np.ndarray, start=1) -> np.ndarray:
     """start * base**exp % mod elementwise on int64 arrays, 0 <= base, start < mod <= 10^18.
 
-    start is one int or an array like mod. Moduli below 2^50 run one
-    square-and-multiply ladder over _mulmod, seeded with start; each
+    start is one int or an array like mod. Moduli below 2^50 run a
+    left-to-right ladder over fixed windows of _POW_WINDOW exponent bits,
+    _POW_BLOCK elements at a time, on the signed products of
+    _signed_mulmod, with one correction at the end; so its table and its
+    temporaries stay a bounded number of blocks at any length. Each
     modulus at or above 2^50 takes one Python pow.
     """
     result = np.array(np.broadcast_to(start, mod.shape), dtype=np.int64)
@@ -209,10 +268,7 @@ def _pow_mod_array(base: np.ndarray, exp: np.ndarray, mod: np.ndarray, start=1) 
         small = ~big
         result[small] = _pow_mod_array(base[small], exp[small], mod[small], result[small])
         return result
-    mul = _mulmod(mod)
-    while True:
-        result = np.where(exp & 1, mul(result, base), result)
-        exp = exp >> 1
-        if not exp.any():
-            return result
-        base = mul(base, base)
+    for lo in range(0, mod.size, _POW_BLOCK):
+        s = slice(lo, lo + _POW_BLOCK)
+        result[s] = _pow_block(base[s], exp[s], mod[s], result[s])
+    return result

@@ -4,10 +4,13 @@ from math import gcd
 import pytest
 
 from cmtrace.arith import (
+    DShape,
+    _shape,
     euler_phi,
     factorize,
     progression_set,
     rad_odd,
+    reduce_quartic_twist,
     rho,
     shape_of,
     split_d,
@@ -89,6 +92,45 @@ def test_shape_of_examples():
     s = shape_of(250)  # 2 * 125
     assert s.sigma == 1 and s.l_list == (5,) and s.t == 1
     assert s.t_counts[5] == 1
+
+
+def _shape_by_sums(sign, fac):
+    # DShape with each residue count taken by its own sum: the reference
+    # for the one pass per list that _shape makes
+    buckets = {1: [], 2: [], 3: []}
+    for l, e in sorted(fac.items()):
+        if l != 2:
+            buckets[e].append(l)
+    p_list, q_list, l_list = (tuple(buckets[e]) for e in (1, 2, 3))
+    return DShape(
+        sign=sign,
+        sigma=fac.get(2, 0),
+        p_list=p_list,
+        q_list=q_list,
+        l_list=l_list,
+        r_counts={i: sum(1 for l in p_list if l % 8 == i) for i in (1, 3, 5, 7)},
+        t_counts={i: sum(1 for l in l_list if l % 8 == i) for i in (1, 3, 5, 7)},
+        s=len(q_list),
+        r=len(p_list),
+        t=len(l_list),
+    )
+
+
+def test_shape_vs_sums():
+    # both shapes of split_d over criterion 06's grid, dict key order included
+    cases = 0
+    for D in range(-50, 51):
+        if D == 0 or reduce_quartic_twist(D) != D:
+            continue
+        fac = factorize(D)
+        for r in range(1, 11):
+            fac_d = {l: e for l, e in fac.items() if l != 2 and r % l == 0}
+            fac_dbar = {l: e for l, e in fac.items() if l not in fac_d}
+            for sign, part in ((1, fac_d), (1 if D > 0 else -1, fac_dbar)):
+                got, want = _shape(sign, part), _shape_by_sums(sign, part)
+                assert got == want and repr(got) == repr(want), (D, r)
+                cases += 1
+    assert cases > 1000
 
 
 def test_shape_roundtrip():

@@ -85,6 +85,12 @@ def test_density_zero_D_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_density_oracle_r_from_2_32_exits_2(capsys):
+    code, out, err = run(capsys, "density", "--D", "5", "--r", "4294967296", "--mode", "oracle")
+    assert code == 2 and out == ""
+    assert "r = 4294967296" in err and "is_prime_u64" not in err, err
+
+
 def test_sweep_stdout_json(capsys):
     code, out, _ = run(capsys, "sweep", "--D", "1", "--r", "1", "--N", "100")
     assert code == 0

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -159,6 +160,20 @@ def test_oracle_class_counts_sum():
         _, counts = density_oracle(D, r, x_max=30_000)
         sp = split_d(D, r)
         assert counts.total == 2 * euler_phi(sp.d) * tau(sp.dbar)
+
+
+@pytest.mark.parametrize("fn", [density_oracle, sigma_sums])
+def test_oracles_reject_r_from_2_32(fn):
+    # from |r| = 2^32 on, every r^2 + y^2 passes is_prime_u64's range; the
+    # error says so and names r, not the internal primality test
+    for r in (1 << 32, -(1 << 32), 10**30):
+        with pytest.raises(PreconditionError, match=re.escape(f"r = {r} puts r^2 + y^2 past 2^64")):
+            fn(5, r)
+    r = (1 << 32) - 1  # the largest |r| searched, with p just below 2^64
+    if fn is density_oracle:
+        assert fn(5, r)[0] == density_formula(5, r)
+    else:
+        assert fn(5, r).sigma == 8
 
 
 def test_oracle_representative_failure():

@@ -249,6 +249,69 @@ def test_pow_mod_array_vs_python(top):
     assert got.tolist() == [s * pow(b, e, m) % m for s, b, e, m in zip(start, base, exp, mod)]
 
 
+# the moduli of each multiply: int64 products, the float64 quotient, Python's pow
+_MOD_RANGES = ((1, _INT64_MOD_MAX), (_INT64_MOD_MAX + 1, (1 << 50) - 1), (1 << 50, 10**18))
+
+
+@st.composite
+def _powers(draw):
+    # every array holds exponents 0, 1, 2^k - 1 and 2^k beside random ones
+    # of any bit length, and a modulus from each range; the order is drawn,
+    # so short and long exponents and all three kinds of modulus meet in
+    # one block, and a block of 1 or 3 elements puts them in separate ones
+    k = draw(st.integers(1, 61))
+    exps = [0, 1, (1 << k) - 1, 1 << k]
+    exps += draw(st.lists(st.integers(0, (1 << 62) - 1), max_size=30))
+    kind = st.sampled_from(_MOD_RANGES).flatmap(lambda r: st.integers(*r))
+    mods = [draw(st.integers(*r)) for r in _MOD_RANGES] + [draw(kind) for _ in exps[3:]]
+    mods = draw(st.permutations(mods))
+    exps = draw(st.permutations(exps))
+    bases = [draw(st.integers(0, m - 1)) for m in mods]
+    if draw(st.booleans()):
+        start = draw(st.integers(0, min(mods) - 1))
+        starts = [start] * len(mods)
+    else:
+        starts = [draw(st.integers(0, m - 1)) for m in mods]
+        start = np.array(starts, dtype=np.int64)
+    block = draw(st.sampled_from((1, 3, primes._POW_BLOCK)))
+    return bases, exps, mods, starts, start, block
+
+
+@settings(deadline=None, max_examples=300)
+@given(args=_powers())
+def test_pow_mod_array_windows_vs_python(args):
+    # the windowed ladder over blocks against Python's pow, element by element
+    bases, exps, mods, starts, start, block = args
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "_POW_BLOCK", block)
+        got = _pow_mod_array(*_arrays(bases, exps, mods), start)
+    assert got.tolist() == [s * pow(b, e, m) % m for b, e, m, s in zip(bases, exps, mods, starts)]
+
+
+def test_pow_mod_array_memory():
+    # 2^18 float-quotient elements: past the output, one block is held at a
+    # time, its table of 2^_POW_WINDOW rows and at most 10 other arrays of
+    # its size (the column index, 1/m, the accumulator, a table entry and
+    # its index, and a product's two float factors, quotient and remainder)
+    rng = np.random.default_rng(18)
+    n = 1 << 18
+    mod = rng.integers(_INT64_MOD_MAX + 1, 1 << 50, n)
+    base = rng.integers(0, _INT64_MOD_MAX, n)
+    exp = (mod - 1) >> 2
+    tracemalloc.start()
+    try:
+        got = _pow_mod_array(base, exp, mod, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    check = slice(0, n, 997)
+    assert got[check].tolist() == [
+        b * pow(b, e, m) % m for b, e, m in zip(*(v[check].tolist() for v in (base, exp, mod)))
+    ]
+    block = ((1 << primes._POW_WINDOW) + 10) * primes._POW_BLOCK * 8
+    assert peak <= got.nbytes + block + 2**16, peak
+
+
 def test_no_table_at_import():
     # the sieve base and the Euler products are built by the first call, not by import
     code = (
