@@ -2,13 +2,17 @@
 
 Exit codes: 0 on success, 2 for anything wrong with the request (argparse
 errors and PreconditionError both land there), 1 for internal failures
-(uncaught exceptions, broken invariants).
+(uncaught exceptions, broken invariants), 141 when the reader of stdout
+closes it early (`cmtrace ... | head`), the status a shell reports for
+SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import time
 
 from . import __version__
 from .arith import reduce_quartic_twist
@@ -74,9 +78,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_hl(args) -> int:
     poly = HLPoly(args.a, args.b, args.c)
-    # report the last two partial products as a crude convergence indicator
-    d_prev = hl_delta(poly, max(args.bound // 10, 3))
+    # report the last two partial products as a crude convergence indicator;
+    # the full bound goes first, so one over the cap exits before any sieve
     d_full = hl_delta(poly, args.bound)
+    d_prev = hl_delta(poly, max(args.bound // 10, 3))
     print(f"hl_delta({args.a},{args.b},{args.c}; bound={args.bound}) = {d_full:.6f}")
     print(f"  partial at bound/10: {d_prev:.6f}  (drift {abs(d_full - d_prev):.2e})")
     if args.count_to is not None:
@@ -132,12 +137,18 @@ def _cmd_selftest(args) -> int:
     from .gaussian import two_squares
 
     failures = 0
+    last = time.perf_counter()
 
     def check(label: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
+        # a check's work runs between the previous call and this one; its
+        # wall time goes to stderr, so stdout stays the verdicts alone
+        nonlocal failures, last
+        now = time.perf_counter()
         status = "PASS" if ok else "FAIL"
         suffix = f"  ({detail})" if detail else ""
         print(f"{status}  {label}{suffix}")
+        print(f"time  {1000 * (now - last):.1f} ms  {label}", file=sys.stderr)
+        last = time.perf_counter()
         if not ok:
             failures += 1
 
@@ -169,6 +180,7 @@ def _cmd_selftest(args) -> int:
         f"n_primes={rep.n_primes}",
     )
     print(f"-- selftest {'ok' if failures == 0 else f'{failures} FAILURES'}")
+    print(f"numpy loaded: {'numpy' in sys.modules}", file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -227,10 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            status = args.fn(args)
+        except PreconditionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 2
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the rest of the output goes to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

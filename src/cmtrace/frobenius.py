@@ -12,8 +12,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .arith import reduce_quartic_twist  # re-exported as part of this surface
 from .errors import PreconditionError, _as_int
 from .gaussian import two_squares
@@ -67,6 +65,7 @@ def _chi_table(p: int) -> np.ndarray:
 
     The squares of 1..(p-1)/2 are every nonzero square mod p.
     """
+    import numpy as np
     chi = np.full(p, -1, dtype=np.int8)
     half = (p + 1) // 2
     for lo in range(1, half, _BLOCK):
@@ -85,6 +84,7 @@ def ap_naive(D, p: int) -> int:
     O(p) work; refuses p above NAIVE_CAP (10^7) rather than silently
     grinding. Odd prime p with good reduction required.
     """
+    import numpy as np
     D = _coeff(D)
     p = _as_int(p, "ap_naive: p")
     if p > NAIVE_CAP:
@@ -185,6 +185,7 @@ def _ap_kernel_array(D: int, x, y: np.ndarray) -> np.ndarray:
     limbs, so any integer D works, numpy ints included, and t is one
     modular power seeded with alpha.
     """
+    import numpy as np
     x = np.broadcast_to(np.asarray(x, dtype=np.int64), np.shape(y))
     p = x * x + y * y
     alpha = np.where(x % 2 == 1, x, y)

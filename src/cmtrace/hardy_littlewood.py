@@ -18,10 +18,8 @@ import functools
 from dataclasses import dataclass
 from math import gcd, isqrt, prod, sqrt
 
-import numpy as np
-
 from .errors import PreconditionError, _as_int
-from .primes import _mod_primes, _pow_mod_array, is_prime_u64, sieve_primes
+from .primes import _SIEVE_MAX, _mod_primes, _pow_mod_array, is_prime_u64, sieve_primes
 
 __all__ = ["HLPoly", "hl_admissible", "hl_delta", "hl_count"]
 
@@ -73,6 +71,7 @@ _CHUNK = 1 << 14
 
 def _euler_factors(f: HLPoly, p: np.ndarray) -> np.ndarray:
     # the factor of hl_delta's product at each odd prime p, as float64
+    import numpy as np
     a, b, d = (_mod_primes(c, p) for c in (f.a, f.b, f.disc))
     t = _pow_mod_array(d, (p - 1) >> 1, p)  # 0, 1 or p - 1
     leg = np.where(t > 1, -1, t)
@@ -88,7 +87,8 @@ def hl_delta(f, prime_bound: int = 1_000_000) -> float:
     Plain float product over a sieve; the tail beyond 10^6 moves the value
     in the fourth decimal, which is accuracy enough for everything here.
     The Legendre symbols come from one vectorized int64 power per chunk of
-    primes, exact since p^2 < 2^63 for every p <= 10^9 (sieve_primes' cap).
+    primes, exact since p^2 < 2^63 for every p <= 10^9 (sieve_primes' cap);
+    a prime_bound outside [3, 10^9] raises PreconditionError before any sieve.
     Each factor is computed in float64 exactly as the scalar expression
     would be, and math.prod multiplies them in prime order, so the value
     is the one a plain loop over the primes gives, bit for bit. The last
@@ -101,6 +101,10 @@ def hl_delta(f, prime_bound: int = 1_000_000) -> float:
         raise PreconditionError(f"hl_delta: {f} is not admissible")
     if prime_bound < 3:
         raise PreconditionError(f"hl_delta: prime_bound too small: {prime_bound}")
+    if prime_bound > _SIEVE_MAX:
+        raise PreconditionError(
+            f"hl_delta: prime_bound {prime_bound} is over the sieve's cap of 10^9"
+        )
     return _hl_delta(f, prime_bound)
 
 

@@ -14,13 +14,15 @@ left-to-right vector ladder over fixed windows of exponent bits, on
 residues kept signed until its last multiply, a block of elements at a
 time (Crandall & Pomerance, section 9.3); above it, one Python pow per
 element.
+
+numpy is imported inside each function that uses it, so it loads on the
+first array call: is_prime_u64, and every scalar route built on it, run
+without numpy, and `import cmtrace` does not pay for it.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-
-import numpy as np
 
 from .errors import PreconditionError, _as_int
 
@@ -91,6 +93,7 @@ def _unmarked(n: int, starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
     progressions go _MARK_BATCH at a time, so no array outlives its batch
     and a batch makes fewer than _MARK_BATCH * _SPARSE_HITS marks.
     """
+    import numpy as np
     mask = np.ones(n, dtype=bool)
     for lo in range(0, starts.size, _MARK_BATCH):
         start, step = starts[lo:lo + _MARK_BATCH], steps[lo:lo + _MARK_BATCH]
@@ -118,6 +121,7 @@ def sieve_primes(bound: int) -> np.ndarray:
     Index i stands for 2i + 1. Each odd prime q <= isqrt(bound) marks its odd
     multiples from q^2 on; index 0, the 1, is never marked and becomes the 2.
     """
+    import numpy as np
     bound = _as_int(bound, "sieve_primes: bound")
     if bound < 2:
         return np.empty(0, dtype=np.int64)
@@ -137,6 +141,7 @@ def _mod_primes(c: int, p: np.ndarray) -> np.ndarray:
     Horner's rule over limbs of |c| as wide as the largest p leaves room
     for in int64: with p < 2^k, (p - 1) * 2^(63-k) + 2^(63-k) - 1 < 2^63.
     """
+    import numpy as np
     if not p.size:
         return np.zeros_like(p)
     width = 63 - int(p.max()).bit_length()
@@ -185,6 +190,7 @@ def _signed_mulmod(mod: np.ndarray):
     no correction until its end. The choice is made once, from the
     largest modulus.
     """
+    import numpy as np
     top = int(mod.max()) if mod.size else 0
     if top <= _INT64_MOD_MAX:
         return lambda a, b: a * b % mod
@@ -209,6 +215,7 @@ def _mulmod(mod: np.ndarray):
     """The exact elementwise a * b % mod for residues 0 <= a, b < mod < 2^50:
     the signed product of _signed_mulmod and one correction, adding mod
     where it is negative."""
+    import numpy as np
     mul = _signed_mulmod(mod)
 
     def exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,6 +230,7 @@ def _mulmod(mod: np.ndarray):
 
 def _pow_block(base: np.ndarray, exp: np.ndarray, mod: np.ndarray, start: np.ndarray) -> np.ndarray:
     # _pow_mod_array on one non-empty block whose moduli are all below 2^50
+    import numpy as np
     n = mod.size
     mul = _signed_mulmod(mod)
     table = np.empty((1 << _POW_WINDOW, n), dtype=np.int64)  # base**d in row d
@@ -260,6 +268,7 @@ def _pow_mod_array(base: np.ndarray, exp: np.ndarray, mod: np.ndarray, start=1) 
     temporaries stay a bounded number of blocks at any length. Each
     modulus at or above 2^50 takes one Python pow.
     """
+    import numpy as np
     result = np.array(np.broadcast_to(start, mod.shape), dtype=np.int64)
     big = mod >= _MULMOD_BOUND
     if big.any():

@@ -1,12 +1,20 @@
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmtrace
 from cmtrace.cli import build_parser, main
+
+SRC = str(Path(cmtrace.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -134,6 +142,14 @@ def test_hl_inadmissible_exits_2(capsys):
     assert code == 2 and "not admissible" in err
 
 
+def test_hl_bound_over_sieve_cap_exits_2(capsys):
+    # the full bound is checked first, so the bound/10 product never sieves to 10^9
+    code, out, err = run(capsys, "hl", "--a", "1", "--b", "0", "--c", "1",
+                         "--bound", "10000000000")
+    assert code == 2 and out == ""
+    assert err == "error: hl_delta: prime_bound 10000000000 is over the sieve's cap of 10^9\n"
+
+
 def test_zero_scan(capsys):
     code, out, _ = run(capsys, "zero-scan", "--dmax", "8", "--rmax", "4")
     assert code == 0
@@ -161,6 +177,17 @@ def test_selftest_passes(capsys):
     assert len(lines) == 7
     assert all(ln.startswith("PASS") for ln in lines)
     assert "-- selftest ok" in out
+
+
+def test_selftest_times_each_check_on_stderr(capsys):
+    code, out, err = run(capsys, "selftest")
+    assert code == 0
+    *verdicts, last = out.splitlines()
+    assert len(verdicts) == 7 and last == "-- selftest ok"
+    labels = [re.fullmatch(r"PASS  (.*?)(  \(.*\))?", ln)[1] for ln in verdicts]
+    *timings, numpy_line = err.splitlines()
+    assert [re.fullmatch(r"time  \d+\.\d ms  (.*)", ln)[1] for ln in timings] == labels
+    assert numpy_line == "numpy loaded: True"  # ap_naive counts points with numpy
 
 
 def test_version_flag(capsys):
@@ -228,3 +255,59 @@ def test_cli_integer_arguments_exit_0_or_2(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 2), (argv, code)
+
+
+def test_scalar_routes_never_load_numpy():
+    # numpy is imported by the first array call, so the package, the CLI and
+    # every scalar route run without it; a fresh interpreter shows what loads
+    code = """
+import contextlib, io, sys
+import cmtrace
+from cmtrace import cli
+from cmtrace.arith import progression_set
+
+cmtrace.ap_fast(3, 13)
+cmtrace.density_formula(-21, 1)
+cmtrace.density_oracle(-21, 1)
+cmtrace.sigma_sums(-21, 1)
+cmtrace.is_zero_pair(5, 3)
+cmtrace.hl_count((1, 0, 1), 10**6)
+cmtrace.quartic_class_of(-21, 13)
+cmtrace.quartic_value_of(-21, 13)
+cmtrace.ap_binomial_residue(13)
+progression_set(-21, 1)
+try:
+    cmtrace.hl_delta((1, 0, 1), 10**10)
+except cmtrace.PreconditionError:
+    pass
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(["--version"])
+    except SystemExit as exc:
+        assert exc.code == 0
+    assert cli.main(["density", "--D", "-21", "--r", "1"]) == 0
+    assert cli.main(["zero-scan", "--dmax", "5", "--rmax", "5"]) == 0
+    assert cli.main(["ap", "--D", "3", "--p", "13", "--method", "fast"]) == 0
+assert "numpy" not in sys.modules, "a scalar route loaded numpy"
+assert cmtrace.sweep(-21, 1, 10**8).n_primes == 840
+assert "numpy" in sys.modules
+"""
+    subprocess.run(
+        [sys.executable, "-c", code], timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+
+
+def test_closed_stdout_pipe_exits_141_quietly():
+    # 122 kB of output, more than a pipe holds, so the CLI writes after the close
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cmtrace.cli", "zero-scan", "--dmax", "300", "--rmax", "30"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.stdout.readline().startswith(b"D=")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

@@ -407,6 +407,8 @@ def test_lt_constant_rejects_bad_bound():
         for bound in (2, 1000.0, "1000"):
             with pytest.raises(PreconditionError):
                 lt_constant(D, r, bound)
+        with pytest.raises(PreconditionError, match="prime_bound 1000000000000 .* 10\\^9"):
+            lt_constant(D, r, 10**12)
 
 
 def test_lt_constant_zero_iff_density_zero():

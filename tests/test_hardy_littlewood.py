@@ -119,6 +119,13 @@ def test_delta_rejects():
             hl_delta(f, bound)
 
 
+def test_delta_rejects_bound_over_sieve_cap():
+    # the cap is checked at entry, before the sieve that enforces it too
+    for bound in (10**9 + 1, 10**10):
+        with pytest.raises(PreconditionError, match=f"prime_bound {bound} .* 10\\^9"):
+            hl_delta((1, 0, 1), bound)
+
+
 def test_count_examples():
     # x^2+1 primes up to 100: 2, 5, 17, 37; 101 just misses
     assert hl_count((1, 0, 1), 100) == 4

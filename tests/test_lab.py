@@ -509,6 +509,8 @@ def test_lt_predict_identity():
 def test_lt_predict_rejects():
     with pytest.raises(PreconditionError):
         lt_predict(1, 1, 2)
+    with pytest.raises(PreconditionError, match="prime_bound 1000000000000 .* 10\\^9"):
+        lt_predict(-21, 1, 10**6, prime_bound=10**12)
 
 
 # ---------------------------------------------------------------------------
