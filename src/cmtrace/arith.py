@@ -211,9 +211,6 @@ class ProgressionSet:
     r: int
     ks: tuple[int, ...]
 
-    def y_of(self, k: int, x: int) -> int:
-        return 4 * self.D_abs * x + 2 * k + rho(self.r)
-
 
 # the classes are walked one gcd at a time, 2|D| of them
 _PROGRESSION_D_MAX = 10**5

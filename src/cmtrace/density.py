@@ -16,11 +16,13 @@ orientation.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
 from .arith import (
+    DShape,
     DSplit,
     _tau_prime,
     progression_set,
@@ -133,6 +135,11 @@ def _T2(split: DSplit) -> int:
     return prod(_tau_prime(l) for l in sh.p_list + sh.q_list + sh.l_list)
 
 
+def _odd_exp(sh: DShape, *residues: int) -> int:
+    # the primes of exponent 1 or 3 in sh that lie in the given classes mod 8
+    return sum(sh.r_counts[i] + sh.t_counts[i] for i in residues)
+
+
 def _base(split: DSplit, sign: int = 1) -> Fraction:
     """(1/4)(1 + sign * (-1)^(r''+t'') / T1), r''+t'' counting dbar's odd-exponent primes."""
     sh = split.shape_dbar
@@ -159,12 +166,7 @@ def _odd_pair(split: DSplit) -> DensityPair:
     if not _odd_asym(split.D, sigma):
         return _sym_pair(split, +1)
     base = _base(split)
-    sh_d, sh_db = split.shape_d, split.shape_dbar
-    e = (
-        sh_d.r_counts[3] + sh_d.r_counts[5] + sh_d.t_counts[3] + sh_d.t_counts[5]
-        + sh_db.r_counts[1] + sh_db.r_counts[7] + sh_db.t_counts[1] + sh_db.t_counts[7]
-        + sh_db.s
-    )
+    e = _odd_exp(split.shape_d, 3, 5) + _odd_exp(split.shape_dbar, 1, 7) + split.shape_dbar.s
     term = Fraction((-1) ** e, 2 * _T2(split))
     return DensityPair(base + term, base - term)
 
@@ -186,10 +188,7 @@ def _even_pair(split: DSplit) -> DensityPair:
         one, zero = Fraction(1), Fraction(0)
         return DensityPair(one, zero) if plus_takes_all else DensityPair(zero, one)
     base = _base(split)
-    e = (
-        sh_db.r_counts[1] + sh_db.r_counts[5] + sh_db.t_counts[1] + sh_db.t_counts[5]
-        + sh_db.s + ((split.d - 1) // 2)
-    )
+    e = _odd_exp(sh_db, 1, 5) + sh_db.s + ((split.d - 1) // 2)
     term = Fraction((-1) ** e, 2 * _T2(split))
     if (sigma == 1) != (D > 0):
         term = -term
@@ -238,15 +237,6 @@ def density_formula(D: int, r: int) -> DensityPair:
 # the progression oracle
 
 
-def _searchable_r(r, name: str) -> int:
-    # the representative search tests p = r^2 + y^2 with is_prime_u64, and
-    # from |r| = 2^32 on every such p is 2^64 or more
-    r = _as_int(r, f"{name}: r")
-    if abs(r) >= 1 << 32:
-        raise PreconditionError(f"{name}: r = {r} puts r^2 + y^2 past 2^64; |r| must be below 2^32")
-    return r
-
-
 def _find_representative(D_abs: int, r: int, k: int, x_max: int) -> int:
     """The first leg y of class k with r^2 + y^2 prime."""
     r2 = r * r
@@ -259,10 +249,29 @@ def _find_representative(D_abs: int, r: int, k: int, x_max: int) -> int:
     raise NoRepresentativeFound(D_abs, r, k, x_max)
 
 
-def _classify_class(D0: int, r: int, k: int, x_max: int) -> int:
-    # progression primes are odd and coprime to D: good reduction, no check
-    y = _find_representative(abs(D0), r, k, x_max)
-    return _ap_kernel(D0, r, y)
+def _class_walk(name: str, D: int, r: int, x_max: int) -> tuple[int, int, Iterator]:
+    """Check the oracles' arguments; return the reduced D, r and a lazy class walk.
+
+    The walk yields (k, y, a_p) per class k: y is the first leg with p = r^2 + y^2
+    prime, a_p the trace at p (p is odd and coprime to D: good reduction).
+    """
+    x_max = _as_int(x_max, f"{name}: x_max")
+    r = _as_int(r, f"{name}: r")
+    # the search tests p = r^2 + y^2 with is_prime_u64, and from |r| = 2^32
+    # on every such p is 2^64 or more
+    if abs(r) >= 1 << 32:
+        raise PreconditionError(f"{name}: r = {r} puts r^2 + y^2 past 2^64; |r| must be below 2^32")
+    if D == 0 or r == 0:
+        raise PreconditionError(f"{name} wants nonzero D and r")
+    D0 = reduce_quartic_twist(D)
+    ps = progression_set(D0, r)
+
+    def walk():
+        for k in ps.ks:
+            y = _find_representative(ps.D_abs, r, k, x_max)
+            yield k, y, _ap_kernel(D0, r, y)
+
+    return D0, r, walk()
 
 
 def density_oracle(
@@ -275,14 +284,8 @@ def density_oracle(
     trace of the class is well defined: primes in one class share their
     quartic data, which a dedicated test checks separately.
     """
-    x_max = _as_int(x_max, "density_oracle: x_max")
-    r = _searchable_r(r, "density_oracle")
-    if D == 0 or r == 0:
-        raise PreconditionError("density_oracle wants nonzero D and r")
-    D0 = reduce_quartic_twist(D)
-    ps = progression_set(D0, r)
-    r = ps.r  # a Python int, whatever integer type came in
-    traces = [_classify_class(D0, r, k, x_max) for k in ps.ks]
+    _, r, walk = _class_walk("density_oracle", D, r, x_max)
+    traces = [a for _, _, a in walk]
     n = len(traces)
     pair = DensityPair(Fraction(traces.count(2 * r), n), Fraction(traces.count(-2 * r), n))
     classes = [_trace_class(a) for a in traces]
@@ -298,20 +301,13 @@ def sigma_sums(D: int, r: int, x_max: int = 100_000) -> SigmaTriple:
     parity of k. These are the raw sums the closed forms solve for, so the
     identities relating them to the class counts make good cross-checks.
     """
-    x_max = _as_int(x_max, "sigma_sums: x_max")
-    r = _searchable_r(r, "sigma_sums")
-    if D == 0 or r == 0:
-        raise PreconditionError("sigma_sums wants nonzero D and r")
-    D0 = reduce_quartic_twist(D)
+    D0, r, walk = _class_walk("sigma_sums", D, r, x_max)
     if D0 % 2 == 0:
         raise PreconditionError(f"sigma_sums wants odd D (after reduction), got {D0}")
-    ps = progression_set(D0, r)
-    r = ps.r
     # indexed by the parity of k: classes, quadratic symbols (D/p), quartic values
     n, s2, s4 = [0, 0], [0, 0], [GaussianInt(0, 0)] * 2
-    for k in ps.ks:
-        y = _find_representative(ps.D_abs, r, k, x_max)
-        cls = _trace_class(_ap_kernel(D0, r, y))
+    for k, y, a in walk:
+        cls = _trace_class(a)
         j = k % 2
         n[j] += 1
         # D is a square mod p exactly on the ±alpha classes
@@ -343,14 +339,14 @@ def _odd_zero_row(split: DSplit) -> tuple[str, bool, bool] | None:
     The three rows share the shape |dbar| in {1,4} x {1,3,5,27,125}; the
     parity that picks the zero side comes from the prime counts ≡ 3,5 (mod 8).
     """
-    sh_d, sh_db = split.shape_d, split.shape_dbar
+    sh_db = split.shape_dbar
     sigma = sh_db.sigma
     if not _odd_asym(split.D, sigma):
         return None
-    s = sh_d.r_counts[3] + sh_d.r_counts[5] + sh_d.t_counts[3] + sh_d.t_counts[5]
+    s = _odd_exp(split.shape_d, 3, 5)
     dbar_odd = abs(split.dbar) >> sigma
     if dbar_odd == 1:
-        s += sh_db.r_counts[3] + sh_db.r_counts[5] + sh_db.t_counts[3] + sh_db.t_counts[5]
+        s += _odd_exp(sh_db, 3, 5)
         row = "odd:unit-cofactor"
     elif dbar_odd in (3, 5, 27, 125):
         row = "odd:prime-cofactor" if sigma == 0 else "odd:prime-cofactor-x4"

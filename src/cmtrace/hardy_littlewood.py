@@ -42,7 +42,8 @@ class HLPoly:
 
 def _as_poly(f) -> HLPoly:
     a, b, c = (f.a, f.b, f.c) if isinstance(f, HLPoly) else f
-    return HLPoly(*(_as_int(v, f"coefficient of {f!r}") for v in (a, b, c)))
+    what = f"coefficient of {f!r}"
+    return HLPoly(_as_int(a, what), _as_int(b, what), _as_int(c, what))
 
 
 def hl_admissible(f) -> bool:
@@ -52,7 +53,11 @@ def hl_admissible(f) -> bool:
     even), and an irreducible f, i.e. the discriminant is not a perfect
     square.
     """
-    f = _as_poly(f)
+    return _admissible(_as_poly(f))
+
+
+def _admissible(f: HLPoly) -> bool:
+    # hl_admissible on a normalized f
     if f.a <= 0:
         return False
     if gcd(gcd(f.a, f.b), f.c) != 1:
@@ -97,7 +102,7 @@ def hl_delta(f, prime_bound: int = 1_000_000) -> float:
     """
     f = _as_poly(f)
     prime_bound = _as_int(prime_bound, "hl_delta: prime_bound")
-    if not hl_admissible(f):
+    if not _admissible(f):
         raise PreconditionError(f"hl_delta: {f} is not admissible")
     if prime_bound < 3:
         raise PreconditionError(f"hl_delta: prime_bound too small: {prime_bound}")

@@ -17,7 +17,9 @@ from cmtrace.arith import (
     tau,
     v2,
 )
+from cmtrace.density import _class_walk
 from cmtrace.errors import PreconditionError
+from oracles import trial_is_prime
 
 
 def test_factorize():
@@ -216,12 +218,19 @@ def test_progression_set_cap():
         progression_set(10**5 + 1, 1)
 
 
-def test_progression_y_values():
-    ps = progression_set(5, 1)
-    assert ps.y_of(ps.ks[0], 0) == 2 * ps.ks[0]
-    assert ps.y_of(ps.ks[0], 3) == 4 * 5 * 3 + 2 * ps.ks[0]
-    ps = progression_set(5, 2)
-    assert ps.y_of(ps.ks[0], 0) == 2 * ps.ks[0] + 1  # odd leg for even r
+@pytest.mark.parametrize("D, r", [(5, 1), (5, 2), (-21, 3), (-21, -2)])
+def test_class_walk_representatives(D, r):
+    # each class k's leg is the first y ≡ 2k + rho(r) (mod 4|D|) from 2k + rho(r)
+    # on with r^2 + y^2 prime; y and r have opposite parity, or p would be even
+    _, _, walk = _class_walk("test", D, r, 10_000)
+    legs = [(k, y) for k, y, _ in walk]
+    assert [k for k, _ in legs] == list(progression_set(D, r).ks)
+    step = 4 * abs(D)
+    for k, y in legs:
+        first = 2 * k + rho(r)
+        assert y % step == first % step and y % 2 != r % 2, (k, y)
+        assert trial_is_prime(r * r + y * y), (k, y)
+        assert not any(trial_is_prime(r * r + z * z) for z in range(first, y, step)), (k, y)
 
 
 def test_rho():

@@ -22,7 +22,9 @@ from cmtrace.density import (
 )
 from cmtrace.errors import NoRepresentativeFound, PreconditionError
 from cmtrace.gaussian import GaussianInt
+from cmtrace.primes import is_prime_u64
 from oracles import trial_is_prime
+from test_lab import _log_calls
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +236,14 @@ def test_sigma_sums_solve_class_counts():
         assert counts.x_beta == counts.x_minus_beta == (sig - sig2) // 4
 
 
-def test_sigma_sums_rejects_even_D():
+def test_sigma_sums_rejects_even_D(monkeypatch):
+    # before the class walk starts: no prime search for an even reduced D
+    log = _log_calls(monkeypatch, is_prime_u64)
     with pytest.raises(PreconditionError):
         sigma_sums(2, 1)
     with pytest.raises(PreconditionError):
         sigma_sums(-6, 1)
+    assert log == []
     # but a fourth power of 2 reduces away
     s = sigma_sums(16 * 3, 1, x_max=20_000)
     assert s.sigma == sigma_sums(3, 1, x_max=20_000).sigma

@@ -24,7 +24,7 @@ import pytest
 
 from cmtrace.density import density_formula, density_oracle, is_zero_pair, sigma_sums
 
-GOLDEN = json.loads((Path(__file__).with_name("golden.json")).read_text(encoding="utf-8"))
+GOLDEN = json.loads(Path(__file__).with_name("golden.json").read_text(encoding="utf-8"))
 
 
 def _quartic_free(n: int) -> bool:
@@ -90,7 +90,7 @@ def digest(section: str) -> str:
 @pytest.mark.parametrize("section", list(_SECTIONS))
 def test_golden_digest(section):
     assert digest(section) == GOLDEN[section]["sha256"], (
-        f"golden section {section!r} moved; diff `--dump {section}` against the parent"
+        f"golden section {section!r} moved; diff `--dump {section}` against the previous commit"
     )
 
 
