@@ -1,6 +1,8 @@
 """Golden digests: one sha256 per section of the numbers cmtrace produces.
 
-Each section walks a fixed grid of inputs (read from golden.json), turns
+Each section walks its own fixed list of inputs: a (D, r) grid or an
+(r, bound) grid whose extent golden.json holds, or, for the sweeps, the
+sweep-large and sweep-grid inputs of perfbench/reference.json. It turns
 every output into canonical JSON (sorted keys, compact separators,
 Fractions as strings) and hashes the list. A change that moves a number
 moves its section's digest. To see which numbers moved, dump the section
@@ -23,19 +25,37 @@ from pathlib import Path
 import pytest
 
 from cmtrace.density import density_formula, density_oracle, is_zero_pair, sigma_sums
+from cmtrace.hardy_littlewood import hl_delta
+from cmtrace.lab import report_to_dict, sweep
 
-GOLDEN = json.loads(Path(__file__).with_name("golden.json").read_text(encoding="utf-8"))
+HERE = Path(__file__).resolve().parent
+GOLDEN = json.loads((HERE / "golden.json").read_text(encoding="utf-8"))
+REFERENCE = HERE.parent / "perfbench" / "reference.json"
 
 
 def _quartic_free(n: int) -> bool:
     return all(n % (q**4) for q in range(2, isqrt(isqrt(abs(n))) + 1))
 
 
-def _grid(D_max: int, r_max: int, odd_D: bool = False):
+def _grid(spec: dict, odd_D: bool = False) -> list[dict]:
     """(D, r) over quartic-free D with 1 <= |D| <= D_max, 1 <= |r| <= r_max."""
+    D_max, r_max = spec["D_max"], spec["r_max"]
     Ds = [D for D in range(-D_max, D_max + 1) if D and _quartic_free(D)]
     rs = [r for r in range(-r_max, r_max + 1) if r]
-    return [(D, r) for D in Ds if not (odd_D and D % 2 == 0) for r in rs]
+    return [{"D": D, "r": r} for D in Ds if not (odd_D and D % 2 == 0) for r in rs]
+
+
+def _sweep_inputs(spec: dict) -> list[dict]:
+    """The sweep-large inputs, then the sweep-grid ones at their common N."""
+    ref = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    large = [{"D": D, "r": r, "N": N} for D, r, N, *_ in ref["sweep_large"]]
+    grid = [{"D": row["D"], "r": row["r"], "N": ref["sweep_grid_N"]} for row in ref["sweep_grid"]]
+    return large + grid
+
+
+def _hl_inputs(spec: dict) -> list[dict]:
+    """x^2 + r^2 for 1 <= r <= r_max, at each prime bound."""
+    return [{"r": r, "B": B} for r in range(1, spec["r_max"] + 1) for B in spec["bounds"]]
 
 
 def _closed_forms(D: int, r: int) -> dict:
@@ -57,10 +77,23 @@ def _sigma_sums(D: int, r: int) -> dict:
     return dataclasses.asdict(sigma_sums(D, r))
 
 
+def _sweep(D: int, r: int, N: int) -> dict:
+    out = report_to_dict(sweep(D, r, N))
+    del out["elapsed_seconds"]
+    return out
+
+
+def _hl_delta(r: int, B: int) -> str:
+    return float.hex(hl_delta((1, 0, r * r), B))
+
+
+# section: (function, its inputs from the section's golden.json entry)
 _SECTIONS = {
-    "closed_forms": (_closed_forms, False),
-    "oracle": (_oracle, False),
-    "sigma_sums": (_sigma_sums, True),
+    "closed_forms": (_closed_forms, _grid),
+    "oracle": (_oracle, _grid),
+    "sigma_sums": (_sigma_sums, lambda spec: _grid(spec, odd_D=True)),
+    "sweep": (_sweep, _sweep_inputs),
+    "hl_delta": (_hl_delta, _hl_inputs),
 }
 
 
@@ -74,13 +107,9 @@ def _canon(obj) -> str:
 
 
 def entries(section: str) -> list[str]:
-    """Canonical JSON of each output of the section, in grid order."""
-    fn, odd_D = _SECTIONS[section]
-    spec = GOLDEN[section]
-    return [
-        _canon({"D": D, "r": r, "out": fn(D, r)})
-        for D, r in _grid(spec["D_max"], spec["r_max"], odd_D)
-    ]
+    """Canonical JSON of each output of the section, in input order."""
+    fn, inputs = _SECTIONS[section]
+    return [_canon({**args, "out": fn(**args)}) for args in inputs(GOLDEN[section])]
 
 
 def digest(section: str) -> str:
