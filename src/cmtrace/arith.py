@@ -208,7 +208,6 @@ class ProgressionSet:
     """
 
     D_abs: int
-    r: int
     ks: tuple[int, ...]
 
 
@@ -229,7 +228,7 @@ def progression_set(D: int, r: int) -> ProgressionSet:
     ks = tuple(
         k for k in range(1, 2 * D_abs + 1) if gcd(D_abs, (2 * k + off) ** 2 + r * r) == 1
     )
-    return ProgressionSet(D_abs=D_abs, r=r, ks=ks)
+    return ProgressionSet(D_abs=D_abs, ks=ks)
 
 
 def reduce_quartic_twist(D: int) -> int:

@@ -176,19 +176,19 @@ def _ap_kernel(D: int, x: int, y: int) -> int:
     return 2 * (t - p if t > p // 2 else t)
 
 
-def _ap_kernel_array(D: int, x, y: np.ndarray) -> np.ndarray:
-    """_ap_kernel elementwise: a_p on int64 arrays of legs of p = x^2 + y^2.
+def _ap_kernel_array(D: int, r: int, y: np.ndarray) -> np.ndarray:
+    """_ap_kernel elementwise: a_p on an int64 array of legs y of p = r^2 + y^2.
 
-    x may be one int for every leg. Same rule and preconditions as the
-    scalar kernel, p <= 10^18; a p dividing D gets 0, as it does there,
-    which no good prime ≡ 1 (mod 4) has. D is reduced mod p once, by
-    limbs, so any integer D works, numpy ints included, and t is one
-    modular power seeded with alpha.
+    r is one int, the first leg of every p, of parity opposite to each y;
+    so alpha is ±r for odd r and ±y for even r. Same rule and
+    preconditions as the scalar kernel, p <= 10^18; a p dividing D gets 0,
+    as it does there, which no good prime ≡ 1 (mod 4) has. D is reduced
+    mod p once, by limbs, so any integer D works, numpy ints included, and
+    t is one modular power seeded with alpha.
     """
     import numpy as np
-    x = np.broadcast_to(np.asarray(x, dtype=np.int64), np.shape(y))
-    p = x * x + y * y
-    alpha = np.where(x % 2 == 1, x, y)
+    p = y * y + r * r
+    alpha = r if r % 2 else y
     alpha = np.where(alpha % 4 == 3, -alpha, alpha) % p
     t = _pow_mod_array(_mod_primes(D, p), (p - 1) >> 2, p, alpha)
     return 2 * np.where(t > p // 2, t - p, t)

@@ -15,6 +15,7 @@ values per (f, bound).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from math import gcd, isqrt, prod, sqrt
 
@@ -42,8 +43,12 @@ class HLPoly:
 
 def _as_poly(f) -> HLPoly:
     a, b, c = (f.a, f.b, f.c) if isinstance(f, HLPoly) else f
-    what = f"coefficient of {f!r}"
-    return HLPoly(_as_int(a, what), _as_int(b, what), _as_int(c, what))
+    try:
+        return HLPoly(operator.index(a), operator.index(b), operator.index(c))
+    except TypeError:
+        # only a failing coefficient pays for the message and its repr of f
+        what = f"coefficient of {f!r}"
+        return HLPoly(_as_int(a, what), _as_int(b, what), _as_int(c, what))
 
 
 def hl_admissible(f) -> bool:

@@ -211,25 +211,10 @@ def _signed_mulmod(mod: np.ndarray):
     return mul
 
 
-def _mulmod(mod: np.ndarray):
-    """The exact elementwise a * b % mod for residues 0 <= a, b < mod < 2^50:
-    the signed product of _signed_mulmod and one correction, adding mod
-    where it is negative."""
-    import numpy as np
-    mul = _signed_mulmod(mod)
-
-    def exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        r = mul(a, b)
-        c = np.right_shift(r, 63)  # -1 where r < 0, else 0
-        c &= mod
-        r += c
-        return r
-
-    return exact
-
-
 def _pow_block(base: np.ndarray, exp: np.ndarray, mod: np.ndarray, start: np.ndarray) -> np.ndarray:
-    # _pow_mod_array on one non-empty block whose moduli are all below 2^50
+    # _pow_mod_array on one non-empty block whose moduli are all below 2^50:
+    # one _signed_mulmod for the whole ladder and the product with start,
+    # then its one correction, adding mod where that product is negative
     import numpy as np
     n = mod.size
     mul = _signed_mulmod(mod)
@@ -255,7 +240,11 @@ def _pow_block(base: np.ndarray, exp: np.ndarray, mod: np.ndarray, start: np.nda
         for _ in range(_POW_WINDOW):
             acc = mul(acc, acc)
         acc = mul(acc, entry(shift))
-    return _mulmod(mod)(acc, start)
+    acc = mul(acc, start)
+    c = np.right_shift(acc, 63)  # -1 where acc < 0, else 0
+    c &= mod
+    acc += c
+    return acc
 
 
 def _pow_mod_array(base: np.ndarray, exp: np.ndarray, mod: np.ndarray, start=1) -> np.ndarray:
@@ -264,9 +253,10 @@ def _pow_mod_array(base: np.ndarray, exp: np.ndarray, mod: np.ndarray, start=1) 
     start is one int or an array like mod. Moduli below 2^50 run a
     left-to-right ladder over fixed windows of _POW_WINDOW exponent bits,
     _POW_BLOCK elements at a time, on the signed products of
-    _signed_mulmod, with one correction at the end; so its table and its
-    temporaries stay a bounded number of blocks at any length. Each
-    modulus at or above 2^50 takes one Python pow.
+    _signed_mulmod; each block multiplies in start and then applies its
+    own one correction to [0, mod). So its table and its temporaries stay
+    a bounded number of blocks at any length. Each modulus at or above
+    2^50 takes one Python pow.
     """
     import numpy as np
     result = np.array(np.broadcast_to(start, mod.shape), dtype=np.int64)

@@ -119,6 +119,18 @@ def test_delta_rejects():
             hl_delta(f, bound)
 
 
+def test_delta_formats_f_only_for_a_bad_coefficient():
+    # f's repr goes into the message of a rejected coefficient, and only there
+    class Opaque(tuple):
+        def __repr__(self):
+            raise RuntimeError("repr of a valid f")
+
+    assert hl_delta(Opaque((1, 0, 49)), 1000) == hl_delta((1, 0, 49), 1000)
+    with pytest.raises(PreconditionError) as err:
+        hl_delta((1, 0, "1"), 1000)
+    assert str(err.value) == "coefficient of (1, 0, '1') must be an integer, got '1'"
+
+
 def test_delta_rejects_bound_over_sieve_cap():
     # the cap is checked at entry, before the sieve that enforces it too
     for bound in (10**9 + 1, 10**10):

@@ -35,8 +35,8 @@ from cmtrace.lab import (
 from cmtrace.primes import (
     _INT64_MOD_MAX,
     _mod_primes,
-    _mulmod,
     _pow_mod_array,
+    _signed_mulmod,
     _unmarked,
     is_prime_u64,
     sieve_primes,
@@ -196,7 +196,8 @@ def test_mulmod_vs_python(top):
         inv = pow(x, -1, m) if gcd(x, m) == 1 else 1
         cases.append((x, rng.choice((inv, m - inv, rng.randrange(m), m - 1)), m))
     a, b, mod = (np.array(v, dtype=np.int64) for v in zip(*cases))
-    assert _mulmod(mod)(a, b).tolist() == [x * y % m for x, y, m in cases]
+    got = _pow_mod_array(a, np.ones_like(mod), mod, start=b)
+    assert got.tolist() == [x * y % m for x, y, m in cases]
 
 
 def _near_half(a, m, d):
@@ -219,15 +220,17 @@ def _near_half(a, m, d):
 @example(case=(2_249_838_195, 76_827_199, _INT64_MOD_MAX + 1))
 @example(case=(684_565_693_906_371, 772_619_116_965_711, 10**15 + 37))
 def test_mulmod_float_quotient(case):
-    # the float64 path, with the quotient rounded to nearest and one correction
+    # the float64 path, with the quotient rounded to nearest and one correction:
+    # start * base**1 is the power block's last product
     a, b, m = case
-    assert _mulmod(np.array([m], dtype=np.int64))(*_arrays([a], [b])).tolist() == [a * b % m]
+    got = _pow_mod_array(*_arrays([a], [1], [m]), start=b)
+    assert got.tolist() == [a * b % m]
 
 
 def test_mulmod_rejects_modulus_from_2_50():
     # float64 no longer holds every residue exactly there
     with pytest.raises(PreconditionError):
-        _mulmod(np.array([5, 1 << 50], dtype=np.int64))
+        _signed_mulmod(np.array([5, 1 << 50], dtype=np.int64))
 
 
 @pytest.mark.parametrize("top", [3_037_000_500, 3_037_000_501, (1 << 50) - 1, 10**18])
