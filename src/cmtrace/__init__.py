@@ -10,11 +10,11 @@ __version__ = "0.1.0"
 from .arith import (
     DShape,
     DSplit,
-    ProgressionSet,
     euler_phi,
     factorize,
     progression_set,
     rad_odd,
+    reduce_quartic_twist,
     rho,
     shape_of,
     split_d,
@@ -34,11 +34,9 @@ from .density import (
 from .errors import NoRepresentativeFound, PreconditionError
 from .frobenius import (
     NAIVE_CAP,
-    CurveD,
     ap_binomial_residue,
     ap_fast,
     ap_naive,
-    reduce_quartic_twist,
 )
 from .gaussian import (
     GaussianInt,
@@ -67,7 +65,6 @@ from .residue_symbols import (
 
 __all__ = [
     "__version__",
-    "CurveD",
     "ClassCounts",
     "DensityPair",
     "DShape",
@@ -78,7 +75,6 @@ __all__ = [
     "NAIVE_CAP",
     "NoRepresentativeFound",
     "PreconditionError",
-    "ProgressionSet",
     "QuarticValue",
     "SigmaTriple",
     "SweepReport",

@@ -4,7 +4,7 @@ The closed-form densities only see D through a small amount of structure:
 the 2-adic valuation, the odd primes split by residue mod 8 and by exponent
 (1, 2, or 3 after fourth-power reduction), and how that factors against r.
 DShape captures the structure of one integer, DSplit the interaction with r,
-ProgressionSet the residue classes the progression oracle walks.
+and progression_set lists the residue classes the progression oracle walks.
 """
 
 from __future__ import annotations
@@ -197,26 +197,18 @@ def rho(r: int) -> int:
     return 0 if r % 2 else 1
 
 
-@dataclass(frozen=True, slots=True)
-class ProgressionSet:
-    """Residue classes k whose progression can contain good primes.
-
-    For trace parameter r the candidate primes are p = r^2 + y^2 with
-    y = 4*|D|*x + 2k + rho(r); k runs over 1..2|D| and survives iff
-    gcd(|D|, (2k + rho)^2 + r^2) = 1. The quartic sums split ks by the
-    parity of k themselves.
-    """
-
-    D_abs: int
-    ks: tuple[int, ...]
-
-
 # the classes are walked one gcd at a time, 2|D| of them
 _PROGRESSION_D_MAX = 10**5
 
 
-def progression_set(D: int, r: int) -> ProgressionSet:
-    """The surviving classes k of (D, r), for 0 < |D| <= 10^5 and r != 0."""
+def progression_set(D: int, r: int) -> tuple[int, ...]:
+    """The residue classes k whose progression can contain good primes.
+
+    For trace parameter r the candidate primes are p = r^2 + y^2 with
+    y = 4*|D|*x + 2k + rho(r); k runs over 1..2|D| and survives iff
+    gcd(|D|, (2k + rho)^2 + r^2) = 1. Returns the surviving k in increasing
+    order, for 0 < |D| <= 10^5 and r != 0.
+    """
     D = _as_int(D, "progression_set: D")
     r = _as_int(r, "progression_set: r")
     if D == 0 or r == 0:
@@ -225,10 +217,9 @@ def progression_set(D: int, r: int) -> ProgressionSet:
     if D_abs > _PROGRESSION_D_MAX:
         raise PreconditionError(f"progression_set wants |D| <= {_PROGRESSION_D_MAX}, got {D}")
     off = rho(r)
-    ks = tuple(
+    return tuple(
         k for k in range(1, 2 * D_abs + 1) if gcd(D_abs, (2 * k + off) ** 2 + r * r) == 1
     )
-    return ProgressionSet(D_abs=D_abs, ks=ks)
 
 
 def reduce_quartic_twist(D: int) -> int:

@@ -264,11 +264,11 @@ def _class_walk(name: str, D: int, r: int, x_max: int) -> tuple[int, int, Iterat
     if D == 0 or r == 0:
         raise PreconditionError(f"{name} wants nonzero D and r")
     D0 = reduce_quartic_twist(D)
-    ps = progression_set(D0, r)
+    ks = progression_set(D0, r)
 
     def walk():
-        for k in ps.ks:
-            y = _find_representative(ps.D_abs, r, k, x_max)
+        for k in ks:
+            y = _find_representative(abs(D0), r, k, x_max)
             yield k, y, _ap_kernel(D0, r, y)
 
     return D0, r, walk()

@@ -10,20 +10,16 @@ D^((p-1)/4) mod p. The whole point of this module is that the three must agree.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-from .arith import reduce_quartic_twist  # re-exported as part of this surface
 from .errors import PreconditionError, _as_int
 from .gaussian import two_squares
 from .primes import _mod_primes, _pow_mod_array, is_prime_u64
 
 __all__ = [
-    "CurveD",
     "NAIVE_CAP",
     "ap_naive",
     "ap_binomial_residue",
     "ap_fast",
-    "reduce_quartic_twist",
 ]
 
 NAIVE_CAP = 10_000_000
@@ -36,19 +32,8 @@ NAIVE_CAP = 10_000_000
 _BLOCK = 1 << 12
 
 
-@dataclass(frozen=True, slots=True)
-class CurveD:
-    """The curve y^2 = x^3 + D*x."""
-
-    D: int
-
-    def __post_init__(self):
-        if self.D == 0:
-            raise PreconditionError("CurveD wants D != 0 (the curve is singular)")
-
-
 def _coeff(D) -> int:
-    d = _as_int(D.D if isinstance(D, CurveD) else D, "D")
+    d = _as_int(D, "D")
     if d == 0:
         raise PreconditionError("D = 0 is singular")
     return d
@@ -78,7 +63,7 @@ def _chi_table(p: int) -> np.ndarray:
     return chi
 
 
-def ap_naive(D, p: int) -> int:
+def ap_naive(D: int, p: int) -> int:
     """a_p by direct character sum: a_p = -sum_x chi(x^3 + D*x).
 
     O(p) work; refuses p above NAIVE_CAP (10^7) rather than silently
@@ -140,7 +125,7 @@ def ap_binomial_residue(p: int) -> int:
     return c
 
 
-def ap_fast(D, p: int) -> int:
+def ap_fast(D: int, p: int) -> int:
     """a_p via the quartic class of D, O(log p) after the two-squares split.
 
     p ≡ 3 (mod 4) is supersingular (trace 0). Otherwise p = alpha^2 + beta^2

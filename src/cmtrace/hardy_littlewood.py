@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt, prod, sqrt
 
 from .errors import PreconditionError, _as_int
-from .primes import _SIEVE_MAX, _mod_primes, _pow_mod_array, is_prime_u64, sieve_primes
+from .primes import _SIEVE_MAX, _U64_MAX, _mod_primes, _pow_mod_array, is_prime_u64, sieve_primes
 
 __all__ = ["HLPoly", "hl_admissible", "hl_delta", "hl_count"]
 
@@ -136,7 +136,8 @@ def hl_count(f, n: int) -> int:
     """Number of distinct primes <= n of the form f(x), x >= 0 an integer.
 
     The scan runs x = 0, 1, ... up to the first x past the vertex with
-    f(x) > n; an f and n that need more than 10^7 values are rejected.
+    f(x) > n; an f and n that need more than 10^7 values are rejected, and
+    so are those whose scan would test a value f(x) <= n above 2^64 - 1.
     """
     f = _as_poly(f)
     n = _as_int(n, "hl_count: n")
@@ -144,11 +145,21 @@ def hl_count(f, n: int) -> int:
         raise PreconditionError(f"hl_count wants a > 0, got {f}")
     if n < 0:
         raise PreconditionError(f"hl_count wants n >= 0, got {n}")
-    # f rises from x_rise on (2ax + a + b > 0), and f(x) <= n iff (2ax + b)^2 <= disc + 4an,
-    # so the scan ends at x_rise or at the first x with 2ax + b > isqrt(disc + 4an), if later
+    # f rises from x_rise on (2ax + a + b > 0), and f(x) <= n iff |2ax + b| <= isqrt(disc + 4an),
+    # i.e. for x in [lo, hi]; so the scan ends at x_rise or at hi + 1, if later
     x_rise = max(0, -(f.a + f.b) // (2 * f.a) + 1)
     span = f.disc + 4 * f.a * n
-    x_end = max(x_rise, (isqrt(span) - f.b) // (2 * f.a) + 1) if span >= 0 else x_rise
+    x_end = x_rise
+    if span >= 0:
+        s = isqrt(span)
+        lo, hi = max(0, -((s + f.b) // (2 * f.a))), (s - f.b) // (2 * f.a)
+        x_end = max(x_rise, hi + 1)
+        # f is convex, so the largest value the scan tests is f(lo) or f(hi)
+        if lo <= hi and max(f(lo), f(hi)) > _U64_MAX:
+            raise PreconditionError(
+                f"hl_count: {f} has values <= n = {n} at or above 2^64; "
+                "primality is tested below 2^64 only"
+            )
     if x_end > _HL_COUNT_MAX:
         raise PreconditionError(f"hl_count: {f} needs {x_end} values, over {_HL_COUNT_MAX}")
     found = {v for v in map(f, range(x_end)) if 2 <= v <= n and is_prime_u64(v)}

@@ -71,12 +71,7 @@ def lt_predict(D: int, r: int, N: int, prime_bound: int = 1_000_000) -> float:
     N = _as_int(N, "lt_predict: N")
     if not 3 <= N <= sys.float_info.max:
         raise PreconditionError(f"lt_predict wants 3 <= N <= {sys.float_info.max:.6g}, got {N}")
-    return _lt_predict(density_formula(D, r), r, N, prime_bound)
-
-
-def _lt_predict(pair: DensityPair, r: int, N: int, prime_bound: int = 1_000_000) -> float:
-    # lt_predict on the density pair of (D, r), for callers that hold it
-    return _lt_constant(pair, r, prime_bound) * sqrt(N) / log(N)
+    return _lt_constant(density_formula(D, r), r, prime_bound) * sqrt(N) / log(N)
 
 
 def _sqrt_minus_one_mod(q: np.ndarray) -> np.ndarray:
@@ -183,7 +178,7 @@ def sweep(D: int, r: int, N: int) -> SweepReport:
         empirical_minus=_sig6(n_minus / n_primes) if n_primes else 0.0,
         predicted=predicted,
         pi_lt=n_plus,
-        lt_predicted=_sig6(_lt_predict(predicted, r, N)),
+        lt_predicted=_sig6(_lt_constant(predicted, r, 10**6) * sqrt(N) / log(N)),
         elapsed_seconds=_sig6(elapsed),
     )
 

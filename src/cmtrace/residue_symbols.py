@@ -14,15 +14,7 @@ import enum
 
 from .errors import PreconditionError, _as_int
 from .frobenius import ap_fast
-from .gaussian import (
-    GI_ONE,
-    GaussianInt,
-    gi_gcd,
-    gi_mod,
-    gi_powmod,
-    is_primary,
-    two_squares,
-)
+from .gaussian import GaussianInt, gi_mod, gi_powmod, is_primary, two_squares
 from .primes import is_prime_u64
 
 
@@ -109,7 +101,8 @@ def quartic_symbol(lam: GaussianInt, pi: GaussianInt) -> QuarticValue:
     multiply, no shortcuts through F_p.
     """
     n = _check_primary_prime(pi)
-    if gi_gcd(lam, pi) != GI_ONE:
+    # pi is prime, so lam shares a factor with it exactly when pi divides lam
+    if gi_mod(lam, pi).is_zero():
         raise PreconditionError(f"quartic_symbol: {lam} shares a factor with {pi}")
     w = gi_powmod(lam, (n - 1) // 4, pi)
     hits = [val for val in QuarticValue if gi_mod(w - val.to_gaussian(), pi).is_zero()]

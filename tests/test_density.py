@@ -141,7 +141,7 @@ def test_oracle_vs_formula_grid():
             f = density_formula(D, r)
             o, counts = density_oracle(D, r, x_max=30_000)
             assert f == o, (D, r, f, o)
-            assert counts.total == len(progression_set(D, r).ks)
+            assert counts.total == len(progression_set(D, r))
 
 
 @settings(deadline=None, max_examples=25)

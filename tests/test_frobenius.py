@@ -7,18 +7,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cmtrace.arith import reduce_quartic_twist
 from cmtrace.errors import PreconditionError
 from cmtrace.frobenius import (
     _BLOCK,
     NAIVE_CAP,
-    CurveD,
     _chi_table,
     _ap_kernel,
     _ap_kernel_array,
     ap_binomial_residue,
     ap_fast,
     ap_naive,
-    reduce_quartic_twist,
 )
 from cmtrace.gaussian import two_squares
 from cmtrace.primes import is_prime_u64
@@ -84,12 +83,6 @@ def test_ap_routes_reject_composite_p():
         assert n % 4 == 1
         with pytest.raises(PreconditionError):
             ap_binomial_residue(n)
-
-
-def test_curved_type():
-    assert ap_naive(CurveD(2), 13) == 4
-    with pytest.raises(PreconditionError):
-        CurveD(0)
 
 
 def test_ap_binomial_examples():

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from cmtrace.hardy_littlewood import (
     hl_count,
     hl_delta,
 )
+from cmtrace.primes import is_prime_u64
 from oracles import slow_hl_delta, slow_prime_count_quadratic
+from test_lab import _log_calls
 
 
 def test_poly_basics():
@@ -183,6 +187,39 @@ def test_count_scan_cap(monkeypatch):
     monkeypatch.setattr(hardy_littlewood, "_HL_COUNT_MAX", 23)
     with pytest.raises(PreconditionError):
         hl_count((1, -40, 401), 10)
+
+
+def test_count_rejects_values_past_u64(monkeypatch):
+    # at entry, by hl_count's name: no primality test runs before the raise
+    log = _log_calls(monkeypatch, is_prime_u64)
+    # the second f has its vertex at 10^6 + 1/4, so its largest value <= n is at
+    # the low end, f(0) = n, and its last one f(2*10^6) = n - 2*10^6 is below 2^64
+    for f, n in (((10**12, 1, 1), 10**21), ((2, -(4 * 10**6 + 1), 2**64 + 7), 2**64 + 7)):
+        with pytest.raises(PreconditionError, match="hl_count"):
+            hl_count(f, n)
+    assert log == []
+    # every value <= n is below 2^64, though n and f's coefficients are not
+    assert hl_count((10**30, 0, 1), 10**20) == 0
+    assert hl_count((10**12, 1, 1), 2**64 - 1) == 78
+
+
+def test_count_u64_rule_is_exact(monkeypatch):
+    # with the limit lowered to m, hl_count raises exactly when some value
+    # 2 <= f(x) <= n of the scan, x >= 0, is above m; m sits at or just
+    # below the first, the last or any one of those values, or n if none
+    rng = random.Random(64)
+    for _ in range(3000):
+        f = HLPoly(rng.randint(1, 4), rng.randint(-60, 60), rng.randint(-50, 50))
+        n = rng.randint(0, 3000)
+        values = [f(x) for x in range(100) if 2 <= f(x) <= n]  # f(100) > 3000
+        pick = values or [n]
+        m = rng.choice((pick[0], pick[-1], rng.choice(pick))) - rng.randint(0, 1)
+        monkeypatch.setattr(hardy_littlewood, "_U64_MAX", m)
+        if max(values, default=0) > m:
+            with pytest.raises(PreconditionError):
+                hl_count(f, n)
+        else:
+            hl_count(f, n)
 
 
 def test_count_matches_delta_asymptotics():

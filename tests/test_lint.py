@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import cmtrace
@@ -96,3 +97,19 @@ def test_numpy_is_imported_by_the_functions_that_use_it():
         for node, why in _numpy_uses(tree, _lazy_annotations(tree))
     ]
     assert found == []
+
+
+def test_every_public_name_resolves():
+    # a stale __all__ entry would otherwise fail only `from ... import *`
+    mods = [cmtrace] + [
+        importlib.import_module(f"cmtrace.{path.stem}")
+        for path in sorted(PKG.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    missing = [
+        f"{mod.__name__}.{name}"
+        for mod in mods
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert missing == []

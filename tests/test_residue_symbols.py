@@ -16,6 +16,7 @@ from cmtrace.frobenius import ap_naive
 from cmtrace.gaussian import (
     GaussianInt,
     TwoSquares,
+    gi_gcd,
     primary_prime_above,
     sqrt_minus_one,
     two_squares,
@@ -101,9 +102,27 @@ def test_quartic_symbol_rejects_bad_modulus():
     # the ramified prime over 2 is excluded outright
     with pytest.raises(PreconditionError):
         quartic_symbol(GaussianInt(3, 0), GaussianInt(1, 1))
-    # shared factor
-    with pytest.raises(PreconditionError):
-        quartic_symbol(GaussianInt(3, 2), GaussianInt(3, 2))
+    # shared factor: pi itself, 0 and multiples of pi by a unit, by 1+i and by pi
+    pi = GaussianInt(3, 2)
+    for lam in (pi, GaussianInt(0, 0), GaussianInt(0, 1) * pi, GaussianInt(1, 1) * pi, pi * pi):
+        with pytest.raises(PreconditionError, match="shares a factor"):
+            quartic_symbol(lam, pi)
+
+
+def test_quartic_symbol_coprimality_vs_gcd():
+    # quartic_symbol rejects lam exactly when gi_gcd(lam, pi) is not 1
+    rng = random.Random(23)
+    mods = [primary_prime_above(p) for p in (5, 13, 17, 29, 37, 41)]
+    mods += [GaussianInt(-3, 0), GaussianInt(-7, 0)]
+    for _ in range(2000):
+        pi = rng.choice(mods)
+        lam = GaussianInt(rng.randint(-30, 30), rng.randint(-30, 30))
+        try:
+            quartic_symbol(lam, pi)
+            rejected = False
+        except PreconditionError:
+            rejected = True
+        assert rejected == (gi_gcd(lam, pi) != GaussianInt(1, 0)), (lam, pi)
 
 
 def test_quartic_symbol_multiplicative():
