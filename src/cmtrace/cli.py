@@ -4,7 +4,8 @@ Exit codes: 0 on success, 2 for anything wrong with the request (argparse
 errors and PreconditionError both land there), 1 for internal failures
 (uncaught exceptions, broken invariants), 141 when the reader of stdout
 closes it early (`cmtrace ... | head`), the status a shell reports for
-SIGPIPE.
+SIGPIPE. Every subcommand does whatever can reject the request before
+its first line, so a rejected request leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ from .lab import report_emit, sweep
 
 def _cmd_ap(args) -> int:
     methods = ("naive", "fast") if args.method == "both" else (args.method,)
-    values = {}
-    for m in methods:
-        fn = ap_naive if m == "naive" else ap_fast
-        values[m] = fn(args.D, args.p)
-        print(f"ap_{m}(D={args.D}, p={args.p}) = {values[m]}")
+    values = {m: (ap_naive if m == "naive" else ap_fast)(args.D, args.p) for m in methods}
+    for m, value in values.items():
+        print(f"ap_{m}(D={args.D}, p={args.p}) = {value}")
     if len(values) == 2:
         match = values["naive"] == values["fast"]
         print(f"match: {match}")
@@ -40,11 +39,14 @@ def _cmd_ap(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    if args.mode in ("formula", "both"):
+    formula, oracle = args.mode in ("formula", "both"), args.mode in ("oracle", "both")
+    if formula:
         pair = density_formula(args.D, args.r)
-        print(f"formula:  d_plus={pair.d_plus}  d_minus={pair.d_minus}")
-    if args.mode in ("oracle", "both"):
+    if oracle:
         opair, counts = density_oracle(args.D, args.r, x_max=args.xmax)
+    if formula:
+        print(f"formula:  d_plus={pair.d_plus}  d_minus={pair.d_minus}")
+    if oracle:
         print(f"oracle:   d_plus={opair.d_plus}  d_minus={opair.d_minus}")
         print(
             "classes:  "
@@ -78,15 +80,18 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_hl(args) -> int:
     poly = HLPoly(args.a, args.b, args.c)
-    # report the last two partial products as a crude convergence indicator;
+    n = args.count_to
+    # the estimate takes sqrt(n) in floats, so n stops at the largest float
+    if n is not None and n > sys.float_info.max:
+        raise PreconditionError(f"--count-to must be at most {sys.float_info.max:.6g}, got {n}")
+    cnt = hl_count(poly, n) if n is not None else None
+    # the last two partial products are a crude convergence indicator;
     # the full bound goes first, so one over the cap exits before any sieve
     d_full = hl_delta(poly, args.bound)
     d_prev = hl_delta(poly, max(args.bound // 10, 3))
     print(f"hl_delta({args.a},{args.b},{args.c}; bound={args.bound}) = {d_full:.6f}")
     print(f"  partial at bound/10: {d_prev:.6f}  (drift {abs(d_full - d_prev):.2e})")
-    if args.count_to is not None:
-        n = args.count_to
-        cnt = hl_count(poly, n)
+    if n is not None:
         print(f"hl_count <= {n}: {cnt}")
         import math
 

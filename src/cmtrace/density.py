@@ -237,8 +237,8 @@ def density_formula(D: int, r: int) -> DensityPair:
 # the progression oracle
 
 
-def _find_representative(D_abs: int, r: int, k: int, x_max: int) -> int:
-    """The first leg y of class k with r^2 + y^2 prime."""
+def _find_representative(D: int, D_abs: int, r: int, k: int, x_max: int) -> int:
+    """The first leg y of class k with r^2 + y^2 prime; the caller's D names a failure."""
     r2 = r * r
     base = 2 * k + rho(r)
     step = 4 * D_abs
@@ -246,7 +246,7 @@ def _find_representative(D_abs: int, r: int, k: int, x_max: int) -> int:
         y = step * x + base
         if is_prime_u64(r2 + y * y):
             return y
-    raise NoRepresentativeFound(D_abs, r, k, x_max)
+    raise NoRepresentativeFound(D, r, k, x_max)
 
 
 def _class_walk(name: str, D: int, r: int, x_max: int) -> tuple[int, int, Iterator]:
@@ -256,6 +256,7 @@ def _class_walk(name: str, D: int, r: int, x_max: int) -> tuple[int, int, Iterat
     prime, a_p the trace at p (p is odd and coprime to D: good reduction).
     """
     x_max = _as_int(x_max, f"{name}: x_max")
+    D = _as_int(D, f"{name}: D")
     r = _as_int(r, f"{name}: r")
     # the search tests p = r^2 + y^2 with is_prime_u64, and from |r| = 2^32
     # on every such p is 2^64 or more
@@ -268,7 +269,7 @@ def _class_walk(name: str, D: int, r: int, x_max: int) -> tuple[int, int, Iterat
 
     def walk():
         for k in ks:
-            y = _find_representative(abs(D0), r, k, x_max)
+            y = _find_representative(D, abs(D0), r, k, x_max)
             yield k, y, _ap_kernel(D0, r, y)
 
     return D0, r, walk()

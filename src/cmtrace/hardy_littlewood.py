@@ -97,8 +97,8 @@ def hl_delta(f, prime_bound: int = 1_000_000) -> float:
     Plain float product over a sieve; the tail beyond 10^6 moves the value
     in the fourth decimal, which is accuracy enough for everything here.
     The Legendre symbols come from one vectorized int64 power per chunk of
-    primes, exact since p^2 < 2^63 for every p <= 10^9 (sieve_primes' cap);
-    a prime_bound outside [3, 10^9] raises PreconditionError before any sieve.
+    primes, exact since p^2 < 2^63 for p <= 10^9, sieve_primes' cap. A bound
+    outside [3, 10^9], or an a no float holds, raises PreconditionError first.
     Each factor is computed in float64 exactly as the scalar expression
     would be, and math.prod multiplies them in prime order, so the value
     is the one a plain loop over the primes gives, bit for bit. The last
@@ -109,6 +109,10 @@ def hl_delta(f, prime_bound: int = 1_000_000) -> float:
     prime_bound = _as_int(prime_bound, "hl_delta: prime_bound")
     if not _admissible(f):
         raise PreconditionError(f"hl_delta: {f} is not admissible")
+    try:
+        float(f.a)  # the product starts from 1/sqrt(a), taken in floats
+    except OverflowError:
+        raise PreconditionError("hl_delta: a is past the largest float") from None
     if prime_bound < 3:
         raise PreconditionError(f"hl_delta: prime_bound too small: {prime_bound}")
     if prime_bound > _SIEVE_MAX:
@@ -135,9 +139,9 @@ _HL_COUNT_MAX = 10**7
 def hl_count(f, n: int) -> int:
     """Number of distinct primes <= n of the form f(x), x >= 0 an integer.
 
-    The scan runs x = 0, 1, ... up to the first x past the vertex with
-    f(x) > n; an f and n that need more than 10^7 values are rejected, and
-    so are those whose scan would test a value f(x) <= n above 2^64 - 1.
+    As a > 0, f(x) <= n exactly on one interval lo <= x <= hi; hl_count scans
+    only that, and rejects it first if it holds over 10^7 values, or if its
+    largest value, f(lo) or f(hi) since f is convex, is 2^64 or more.
     """
     f = _as_poly(f)
     n = _as_int(n, "hl_count: n")
@@ -145,22 +149,17 @@ def hl_count(f, n: int) -> int:
         raise PreconditionError(f"hl_count wants a > 0, got {f}")
     if n < 0:
         raise PreconditionError(f"hl_count wants n >= 0, got {n}")
-    # f rises from x_rise on (2ax + a + b > 0), and f(x) <= n iff |2ax + b| <= isqrt(disc + 4an),
-    # i.e. for x in [lo, hi]; so the scan ends at x_rise or at hi + 1, if later
-    x_rise = max(0, -(f.a + f.b) // (2 * f.a) + 1)
+    # f(x) <= n iff (2ax + b)^2 <= disc + 4an, i.e. |2ax + b| <= isqrt(disc + 4an)
     span = f.disc + 4 * f.a * n
-    x_end = x_rise
-    if span >= 0:
-        s = isqrt(span)
-        lo, hi = max(0, -((s + f.b) // (2 * f.a))), (s - f.b) // (2 * f.a)
-        x_end = max(x_rise, hi + 1)
-        # f is convex, so the largest value the scan tests is f(lo) or f(hi)
-        if lo <= hi and max(f(lo), f(hi)) > _U64_MAX:
-            raise PreconditionError(
-                f"hl_count: {f} has values <= n = {n} at or above 2^64; "
-                "primality is tested below 2^64 only"
-            )
-    if x_end > _HL_COUNT_MAX:
-        raise PreconditionError(f"hl_count: {f} needs {x_end} values, over {_HL_COUNT_MAX}")
-    found = {v for v in map(f, range(x_end)) if 2 <= v <= n and is_prime_u64(v)}
-    return len(found)
+    s = isqrt(max(span, 0))
+    lo, hi = max(0, -((s + f.b) // (2 * f.a))), (s - f.b) // (2 * f.a)
+    if span < 0 or lo > hi:
+        return 0
+    if max(f(lo), f(hi)) > _U64_MAX:
+        raise PreconditionError(
+            f"hl_count: {f} has values <= n = {n} at or above 2^64; "
+            "primality is tested below 2^64 only"
+        )
+    if hi - lo + 1 > _HL_COUNT_MAX:
+        raise PreconditionError(f"hl_count: {f} needs {hi - lo + 1} values, over {_HL_COUNT_MAX}")
+    return len({v for v in map(f, range(lo, hi + 1)) if v >= 2 and is_prime_u64(v)})

@@ -98,8 +98,10 @@ def quartic_symbol(lam: GaussianInt, pi: GaussianInt) -> QuarticValue:
 
     Defined by lam^((N(pi)-1)/4) ≡ value (mod pi); requires lam coprime
     to pi. Computed honestly in the quotient ring, one reduction per
-    multiply, no shortcuts through F_p.
+    multiply, no shortcuts through F_p. Both arguments must be GaussianInt.
     """
+    if not (isinstance(lam, GaussianInt) and isinstance(pi, GaussianInt)):
+        raise PreconditionError(f"quartic_symbol wants two GaussianInt, got {lam!r}, {pi!r}")
     n = _check_primary_prime(pi)
     # pi is prime, so lam shares a factor with it exactly when pi divides lam
     if gi_mod(lam, pi).is_zero():

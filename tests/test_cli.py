@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmtrace
+from cmtrace import cli
 from cmtrace.cli import build_parser, main
 
 SRC = str(Path(cmtrace.__file__).resolve().parent.parent)
@@ -148,6 +149,33 @@ def test_hl_bound_over_sieve_cap_exits_2(capsys):
                          "--bound", "10000000000")
     assert code == 2 and out == ""
     assert err == "error: hl_delta: prime_bound 10000000000 is over the sieve's cap of 10^9\n"
+
+
+def test_hl_rejected_count_prints_nothing(capsys, monkeypatch):
+    # the count comes first: past 2^64 it exits 2 before any Euler product
+    calls = []
+    monkeypatch.setattr(cli, "hl_delta", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "hl", "--a", "1000000000000", "--b", "1", "--c", "1",
+                         "--count-to", "1000000000000000000000")
+    assert code == 2 and out == "" and calls == []
+    assert err.startswith("error: hl_count: ")
+    monkeypatch.undo()
+    # a bad bound that comes with a valid count is rejected after the count
+    code, out, err = run(capsys, "hl", "--a", "1", "--b", "0", "--c", "1",
+                         "--bound", "2", "--count-to", "100")
+    assert code == 2 and out == "" and "prime_bound too small" in err
+    # sqrt(n) of the estimate is a float, so n stops at the largest float
+    code, out, err = run(capsys, "hl", "--a", "1", "--b", str(10**400), "--c", "1",
+                         "--count-to", str(10**399))
+    assert code == 2 and out == "" and err.startswith("error: --count-to must be at most ")
+
+
+def test_density_rejected_oracle_prints_nothing(capsys):
+    # the formula line waits for the oracle, which finds no representative at x_max = 0
+    code, out, err = run(capsys, "density", "--D", "-21", "--r", "1", "--xmax", "0",
+                         "--mode", "both")
+    assert code == 2 and out == ""
+    assert "no prime representative" in err
 
 
 def test_zero_scan(capsys):

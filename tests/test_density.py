@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -183,6 +184,15 @@ def test_oracle_representative_failure():
         density_oracle(-21, 1, x_max=0)
     assert ei.value.x_max == 0
     assert "raise x_max" in str(ei.value)
+
+
+@pytest.mark.parametrize("fn", [density_oracle, sigma_sums])
+def test_representative_failure_names_the_callers_D(fn):
+    # -21 * 2^4 reduces to -21, but the error names the D that was passed
+    with pytest.raises(NoRepresentativeFound, match=re.escape("(D=-336, r=1)")) as ei:
+        fn(np.int64(-21 * 16), 1, x_max=0)
+    assert type(ei.value.D) is int and ei.value.D == -336
+    assert (ei.value.r, ei.value.k, ei.value.x_max) == (1, 4, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,16 @@ def test_delta_rejects():
             hl_delta(f, bound)
 
 
+def test_delta_rejects_a_past_the_largest_float():
+    # exactly the a that float() cannot hold: from the midpoint between the
+    # largest float, 2^1024 - 2^971, and 2^1024 on, it rounds up and overflows
+    edge = 2**1024 - 2**970
+    for f in ((10**400, 0, 1), (edge, 1, 1)):
+        with pytest.raises(PreconditionError, match="hl_delta: a is past the largest float"):
+            hl_delta(f, 1000)
+    assert hl_delta((edge - 1, 0, 1), 3) == slow_hl_delta(edge - 1, 0, 1, 3)
+
+
 def test_delta_formats_f_only_for_a_bad_coefficient():
     # f's repr goes into the message of a rejected coefficient, and only there
     class Opaque(tuple):
@@ -181,12 +191,31 @@ def test_count_scan_cap(monkeypatch):
     assert hl_count((1, 0, 1), 100) == 4
     with pytest.raises(PreconditionError):
         hl_count((1, 0, 1), 101)
-    # (x - 20)^2 + 1 <= 10 still scans x = 0..23, past the vertex
-    monkeypatch.setattr(hardy_littlewood, "_HL_COUNT_MAX", 24)
+    # (x - 20)^2 + 1 <= 10 scans only x = 17..23, around the vertex
+    monkeypatch.setattr(hardy_littlewood, "_HL_COUNT_MAX", 7)
     assert hl_count((1, -40, 401), 10) == 2
-    monkeypatch.setattr(hardy_littlewood, "_HL_COUNT_MAX", 23)
+    monkeypatch.setattr(hardy_littlewood, "_HL_COUNT_MAX", 6)
     with pytest.raises(PreconditionError):
         hl_count((1, -40, 401), 10)
+
+
+def test_count_scans_the_interval_around_the_vertex(monkeypatch):
+    # f with its vertex at x > 0: the count is the oracle's, and the cap is
+    # exactly the number of x >= 0 with f(x) <= n, however far the vertex is;
+    # (x - 10^9)^2 + 1 <= 10 at x = 10^9 + {-3..3}: the primes 2 and 5
+    assert hl_count((1, -2 * 10**9, 10**18 + 1), 10) == 2
+    rng = random.Random(24)
+    for _ in range(300):
+        f = HLPoly(rng.randint(1, 4), rng.randint(-400, -1), rng.randint(-50, 10_000))
+        n = rng.randint(0, 5000)
+        count = slow_prime_count_quadratic(f.a, f.b, f.c, n)
+        length = sum(f(x) <= n for x in range(1000))  # f(x) > n from x = 1000 on
+        monkeypatch.setattr(hardy_littlewood, "_HL_COUNT_MAX", max(length, 1))
+        assert hl_count(f, n) == count, (f, n)
+        if length:
+            monkeypatch.setattr(hardy_littlewood, "_HL_COUNT_MAX", length - 1)
+            with pytest.raises(PreconditionError):
+                hl_count(f, n)
 
 
 def test_count_rejects_values_past_u64(monkeypatch):

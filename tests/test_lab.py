@@ -725,7 +725,9 @@ _BAD_ARGUMENT_CALLS = {
     "progression_set D=1.5": lambda: arith.progression_set(1.5, 1),
     "progression_set D='7'": lambda: arith.progression_set("7", 1),
     "hl_count n=10^40": lambda: hl_count((1, 0, 1), 10**40),
-    "hl_count 10^9 values to the vertex": lambda: hl_count((1, -2 * 10**9, 10**18 + 1), 10),
+    "hl_count 6.3*10^7 values around the vertex": (
+        lambda: hl_count((1, -2 * 10**9, 10**18 + 1), 10**15)
+    ),
     "quartic_class_of p='13'": lambda: residue_symbols.quartic_class_of(-21, "13"),
     "quartic_value_of p='13'": lambda: residue_symbols.quartic_value_of(-21, "13"),
     "lt_predict N=2^1024": lambda: lt_predict(-21, 1, 2**1024),
@@ -736,6 +738,47 @@ _BAD_ARGUMENT_CALLS = {
 def test_bad_argument_rejected(call):
     with pytest.raises(PreconditionError):
         _BAD_ARGUMENT_CALLS[call]()
+
+
+# a zero where the argument must be nonzero, and each remaining cap or sign
+# rule: the call, and the message of the guard it must reach
+_GI = gaussian.GaussianInt
+_GUARD_CALLS = {
+    "tau(0)": (lambda: arith.tau(0), r"tau\(0\)"),
+    "euler_phi(0)": (lambda: arith.euler_phi(0), r"euler_phi\(0\)"),
+    "rad_odd(0)": (lambda: arith.rad_odd(0), r"rad_odd\(0\)"),
+    "shape_of(0)": (lambda: arith.shape_of(0), r"shape_of\(0\)"),
+    "split_d D=0": (lambda: arith.split_d(0, 1), "split_d wants nonzero D and r"),
+    "split_d r=0": (lambda: arith.split_d(3, 0), "split_d wants nonzero D and r"),
+    "progression_set(0, 1)": (
+        lambda: arith.progression_set(0, 1), "progression_set wants nonzero D and r"
+    ),
+    "density_oracle(0, 1)": (lambda: density_oracle(0, 1), "density_oracle wants nonzero D"),
+    "ap_binomial_residue p=10000121 > 10^7": (
+        lambda: ap_binomial_residue(10_000_121), "p=10000121 exceeds cap=10000000"
+    ),
+    "gi_powmod exp=-1": (
+        lambda: gaussian.gi_powmod(_GI(2, 0), -1, _GI(3, 2)), "gi_powmod wants exp >= 0"
+    ),
+    "gi_gcd(0, 0)": (lambda: gaussian.gi_gcd(_GI(0, 0), _GI(0, 0)), r"gi_gcd\(0, 0\)"),
+    "sieve_primes(10^9 + 1)": (
+        lambda: sieve_primes(10**9 + 1), "sieve bound too large: 1000000001"
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(_GUARD_CALLS))
+def test_guard_raises_before_work(call):
+    # each raises at entry: under 64 kB allocated, where sieve_primes(10^9 + 1) would need 0.5 GB
+    fn, message = _GUARD_CALLS[call]
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match=message):
+            fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
 
 
 # every entry that takes a prime p alone, or p next to D

@@ -109,6 +109,15 @@ def test_quartic_symbol_rejects_bad_modulus():
             quartic_symbol(lam, pi)
 
 
+@pytest.mark.parametrize("fn", [quartic_symbol, reciprocity_check])
+def test_quartic_symbol_wants_gaussian_ints(fn):
+    # an int or a tuple in either place is a rejected input, not a TypeError
+    pi, lam7 = GaussianInt(3, 2), GaussianInt(-7, 0)
+    for lam, mod in ((3, pi), ((3, 0), pi), (lam7, (3, 2)), (lam7, 13)):
+        with pytest.raises(PreconditionError, match="quartic_symbol wants two GaussianInt"):
+            fn(lam, mod)
+
+
 def test_quartic_symbol_coprimality_vs_gcd():
     # quartic_symbol rejects lam exactly when gi_gcd(lam, pi) is not 1
     rng = random.Random(23)
