@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .errors import PreconditionError, _as_int
+from .errors import PreconditionError, _as_int, _show
 from .primes import _U64_MAX, is_prime_u64
 
 _TRIAL_BOUND = 10**6
@@ -42,7 +42,7 @@ def factorize(n: int) -> dict[int, int]:
                 n //= p
         f += 6
     if f * f <= n and (n > _U64_MAX or not is_prime_u64(n)):
-        raise PreconditionError(f"factorize: cofactor {n} is not a prime below 2^64")
+        raise PreconditionError(f"factorize: cofactor {_show(n)} is not a prime below 2^64")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -129,7 +129,7 @@ def shape_of(D: int) -> DShape:
         raise PreconditionError("shape_of(0)")
     fac = factorize(D)
     if any(e >= 4 for e in fac.values()):
-        raise PreconditionError(f"shape_of wants fourth-power-free input, got {D}")
+        raise PreconditionError(f"shape_of wants fourth-power-free input, got {_show(D)}")
     return _shape(1 if D > 0 else -1, fac)
 
 
@@ -161,7 +161,7 @@ def _shape(sign: int, fac: dict[int, int]) -> DShape:
 
 @dataclass(frozen=True, slots=True)
 class DSplit:
-    """D = d * dbar split against r.
+    """D = d * dbar split against r, D reduced by fourth powers.
 
     d collects the full power of every odd prime of D that divides r, so
     d > 0 is odd, rad(d) | r, gcd(d, dbar) = 1 and gcd(r, odd part of dbar)
@@ -181,15 +181,14 @@ def split_d(D: int, r: int) -> DSplit:
     r = _as_int(r, "split_d: r")
     if D == 0 or r == 0:
         raise PreconditionError("split_d wants nonzero D and r")
-    fac = factorize(D)
-    if any(e >= 4 for e in fac.values()):
-        raise PreconditionError(f"split_d wants fourth-power-free D, got {D}")
+    fac = {l: e % 4 for l, e in factorize(D).items() if e % 4}
+    sign = 1 if D > 0 else -1
     fac_d = {l: e for l, e in fac.items() if l != 2 and r % l == 0}
     fac_dbar = {l: e for l, e in fac.items() if l not in fac_d}
     d = prod(l**e for l, e in fac_d.items())
-    dbar = D // d
-    shape_d, shape_dbar = _shape(1, fac_d), _shape(1 if D > 0 else -1, fac_dbar)
-    return DSplit(D=D, r=r, d=d, dbar=dbar, shape_d=shape_d, shape_dbar=shape_dbar)
+    dbar = sign * prod(l**e for l, e in fac_dbar.items())
+    shape_d, shape_dbar = _shape(1, fac_d), _shape(sign, fac_dbar)
+    return DSplit(D=d * dbar, r=r, d=d, dbar=dbar, shape_d=shape_d, shape_dbar=shape_dbar)
 
 
 def rho(r: int) -> int:
@@ -209,13 +208,11 @@ def progression_set(D: int, r: int) -> tuple[int, ...]:
     gcd(|D|, (2k + rho)^2 + r^2) = 1. Returns the surviving k in increasing
     order, for 0 < |D| <= 10^5 and r != 0.
     """
-    D = _as_int(D, "progression_set: D")
+    D = _as_int(D, "progression_set: D", -_PROGRESSION_D_MAX, _PROGRESSION_D_MAX)
     r = _as_int(r, "progression_set: r")
     if D == 0 or r == 0:
         raise PreconditionError("progression_set wants nonzero D and r")
     D_abs = abs(D)
-    if D_abs > _PROGRESSION_D_MAX:
-        raise PreconditionError(f"progression_set wants |D| <= {_PROGRESSION_D_MAX}, got {D}")
     off = rho(r)
     return tuple(
         k for k in range(1, 2 * D_abs + 1) if gcd(D_abs, (2 * k + off) ** 2 + r * r) == 1

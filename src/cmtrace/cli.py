@@ -18,7 +18,7 @@ import time
 from . import __version__
 from .arith import reduce_quartic_twist
 from .density import density_formula, density_oracle, is_zero_pair
-from .errors import PreconditionError
+from .errors import PreconditionError, _as_int, _show
 from .frobenius import ap_fast, ap_naive
 from .hardy_littlewood import HLPoly, hl_count, hl_delta
 from .lab import report_emit, sweep
@@ -82,8 +82,8 @@ def _cmd_hl(args) -> int:
     poly = HLPoly(args.a, args.b, args.c)
     n = args.count_to
     # the estimate takes sqrt(n) in floats, so n stops at the largest float
-    if n is not None and n > sys.float_info.max:
-        raise PreconditionError(f"--count-to must be at most {sys.float_info.max:.6g}, got {n}")
+    if n is not None:
+        _as_int(n, "--count-to", hi=sys.float_info.max)
     cnt = hl_count(poly, n) if n is not None else None
     # the last two partial products are a crude convergence indicator;
     # the full bound goes first, so one over the cap exits before any sieve
@@ -109,7 +109,9 @@ _ZERO_SCAN_MAX = 10**6
 def _cmd_zero_scan(args) -> int:
     cells = (2 * max(args.dmax, 0) + 1) * (2 * max(args.rmax, 0) + 1)
     if cells > _ZERO_SCAN_MAX:
-        raise PreconditionError(f"zero-scan grid has {cells} (D, r) cells, over {_ZERO_SCAN_MAX}")
+        raise PreconditionError(
+            f"zero-scan grid has {_show(cells)} (D, r) cells, over {_ZERO_SCAN_MAX}"
+        )
     rows = 0
     formula_only = 0
     for D in range(-args.dmax, args.dmax + 1):

@@ -31,7 +31,7 @@ from .arith import (
     split_d,
     v2,
 )
-from .errors import NoRepresentativeFound, PreconditionError, _as_int
+from .errors import NoRepresentativeFound, PreconditionError, _as_int, _show
 from .frobenius import _ap_kernel
 from .gaussian import GaussianInt
 from .hardy_littlewood import HLPoly, hl_delta
@@ -60,7 +60,7 @@ class DensityPair:
 
     def __post_init__(self):
         if not (0 <= self.d_plus and 0 <= self.d_minus and self.d_plus + self.d_minus <= 1):
-            raise PreconditionError(f"{self} is not a pair of densities")
+            raise PreconditionError(f"{_show(self)} is not a pair of densities")
 
     def swapped(self) -> "DensityPair":
         return DensityPair(self.d_minus, self.d_plus)
@@ -120,7 +120,7 @@ class ZeroVerdict:
 # closed forms
 #
 # Each helper takes the split of the reduced D against the normalized m
-# (split.D, split.r), built once per request by _closed_form.
+# (split.D, split.r), built by _closed_form from one factorization of D.
 
 
 def _T1(split: DSplit) -> int:
@@ -217,7 +217,7 @@ def _closed_form(D: int, r: int) -> tuple[DSplit, DensityPair, bool]:
     if D == 0 or r == 0:
         raise PreconditionError("density_formula wants nonzero D and r")
     m, swap = _normalize(r)
-    split = split_d(reduce_quartic_twist(D), m)
+    split = split_d(D, m)
     return split, (_odd_pair(split) if m % 2 else _even_pair(split)), swap
 
 
@@ -257,11 +257,9 @@ def _class_walk(name: str, D: int, r: int, x_max: int) -> tuple[int, int, Iterat
     """
     x_max = _as_int(x_max, f"{name}: x_max")
     D = _as_int(D, f"{name}: D")
-    r = _as_int(r, f"{name}: r")
     # the search tests p = r^2 + y^2 with is_prime_u64, and from |r| = 2^32
     # on every such p is 2^64 or more
-    if abs(r) >= 1 << 32:
-        raise PreconditionError(f"{name}: r = {r} puts r^2 + y^2 past 2^64; |r| must be below 2^32")
+    r = _as_int(r, f"{name}: r", 1 - (1 << 32), (1 << 32) - 1)
     if D == 0 or r == 0:
         raise PreconditionError(f"{name} wants nonzero D and r")
     D0 = reduce_quartic_twist(D)
@@ -304,7 +302,7 @@ def sigma_sums(D: int, r: int, x_max: int = 100_000) -> SigmaTriple:
     """
     D0, r, walk = _class_walk("sigma_sums", D, r, x_max)
     if D0 % 2 == 0:
-        raise PreconditionError(f"sigma_sums wants odd D (after reduction), got {D0}")
+        raise PreconditionError(f"sigma_sums wants odd D (after reduction), got {_show(D0)}")
     # indexed by the parity of k: classes, quadratic symbols (D/p), quartic values
     n, s2, s4 = [0, 0], [0, 0], [GaussianInt(0, 0)] * 2
     for k, y, a in walk:
@@ -397,7 +395,7 @@ def is_zero_pair(D: int, r: int) -> ZeroVerdict:
     hit = (_odd_zero_row if r % 2 else _even_zero_row)(split)
     row, z_plus, z_minus = hit or (None, False, False)
     if (z_plus and pair.d_plus != 0) or (z_minus and pair.d_minus != 0):
-        raise AssertionError(f"zero row disagrees with formula at (D={D}, r={r})")
+        raise AssertionError(f"zero row disagrees with formula at (D={_show(D)}, r={_show(r)})")
     plus_zero, minus_zero = pair.d_plus == 0, pair.d_minus == 0
     if swap:
         plus_zero, minus_zero = minus_zero, plus_zero

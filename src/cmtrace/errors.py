@@ -2,7 +2,8 @@
 
 Precondition violations are user-facing (bad arguments, out-of-range inputs)
 and map to CLI exit code 2. Anything else that escapes is an internal bug and
-exits 1 like any uncaught Python error.
+exits 1 like any uncaught Python error. Every message shows its values
+through _show, so no rejection fails on a value Python refuses to print.
 """
 
 import operator
@@ -12,12 +13,32 @@ class PreconditionError(ValueError):
     """An input violated a documented precondition."""
 
 
-def _as_int(value, what: str) -> int:
-    """value as a Python int (numpy integers included), else PreconditionError."""
+def _show(value, show=str) -> str:
+    """show(value), or a placeholder naming the type (and an int's bit length) where
+    Python refuses to print it: an int of over 4300 digits, or an object holding one."""
     try:
-        return operator.index(value)
+        return show(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} too large to print>"
+
+
+def _as_int(value, what: str, lo=None, hi=None) -> int:
+    """value as a Python int (numpy integers included) in [lo, hi], else PreconditionError.
+
+    Its message is what ("sweep: N") and "must be an integer", "must be at
+    least <lo>" or "must be at most <hi>", then ", got <value>".
+    """
+    try:
+        n = operator.index(value)
     except TypeError:
-        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
+        raise PreconditionError(f"{what} must be an integer, got {_show(value, repr)}") from None
+    if lo is not None and n < lo:
+        raise PreconditionError(f"{what} must be at least {_show(lo)}, got {_show(n)}")
+    if hi is not None and n > hi:
+        raise PreconditionError(f"{what} must be at most {_show(hi)}, got {_show(n)}")
+    return n
 
 
 class NoRepresentativeFound(PreconditionError):
@@ -33,6 +54,6 @@ class NoRepresentativeFound(PreconditionError):
         self.k = k
         self.x_max = x_max
         super().__init__(
-            f"no prime representative for class k={k} of (D={D}, r={r}) "
-            f"within x <= {x_max}; raise x_max"
+            f"no prime representative for class k={k} of (D={_show(D)}, r={r}) "
+            f"within x <= {_show(x_max)}; raise x_max"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 
-from .errors import PreconditionError, _as_int
+from .errors import PreconditionError, _as_int, _show
 from .gaussian import two_squares
 from .primes import _mod_primes, _pow_mod_array, is_prime_u64
 
@@ -41,7 +41,7 @@ def _coeff(D) -> int:
 
 def _check_good_reduction(D: int, p: int) -> None:
     if p == 2 or D % p == 0:
-        raise PreconditionError(f"bad reduction: p={p} divides 2*D (D={D})")
+        raise PreconditionError(f"bad reduction: p={_show(p)} divides 2*D (D={_show(D)})")
 
 
 @functools.lru_cache(maxsize=8)
@@ -71,11 +71,9 @@ def ap_naive(D: int, p: int) -> int:
     """
     import numpy as np
     D = _coeff(D)
-    p = _as_int(p, "ap_naive: p")
-    if p > NAIVE_CAP:
-        raise PreconditionError(f"ap_naive: p={p} exceeds cap={NAIVE_CAP}")
+    p = _as_int(p, "ap_naive: p", hi=NAIVE_CAP)
     if p < 3 or not is_prime_u64(p):
-        raise PreconditionError(f"ap_naive wants an odd prime, got {p}")
+        raise PreconditionError(f"ap_naive wants an odd prime, got {_show(p)}")
     _check_good_reduction(D, p)
     chi = _chi_table(p)
     dmod = D % p
@@ -92,7 +90,7 @@ def ap_naive(D: int, p: int) -> int:
         total += int(chi[v].sum(dtype=np.int64))
     a = -total
     if a % 2 or a * a >= 4 * p:
-        raise AssertionError(f"ap_naive({D}, {p}) = {a} breaks parity or the Hasse bound")
+        raise AssertionError(f"ap_naive({_show(D)}, {p}) = {a} breaks parity or the Hasse bound")
     return a
 
 
@@ -103,13 +101,9 @@ def ap_binomial_residue(p: int) -> int:
     |2*alpha| < p/2 makes the lift exact. Computed by an O(p) running
     product, deliberately ignorant of Gaussian integers.
     """
-    p = _as_int(p, "ap_binomial_residue: p")
+    p = _as_int(p, "ap_binomial_residue: p", hi=NAIVE_CAP)
     if p % 4 != 1 or not is_prime_u64(p):
-        raise PreconditionError(
-            f"ap_binomial_residue wants a prime ≡ 1 (mod 4), got {p}"
-        )
-    if p > NAIVE_CAP:
-        raise PreconditionError(f"ap_binomial_residue: p={p} exceeds cap={NAIVE_CAP}")
+        raise PreconditionError(f"ap_binomial_residue wants a prime ≡ 1 (mod 4), got {_show(p)}")
     m = (p - 1) // 4
     num = 1
     for j in range(m + 1, 2 * m + 1):
@@ -133,15 +127,13 @@ def ap_fast(D: int, p: int) -> int:
     two_squares is then the primality test of p.
     """
     D = _coeff(D)
-    p = _as_int(p, "ap_fast: p")
-    if p < 3:
-        raise PreconditionError(f"ap_fast wants an odd prime, got {p}")
+    p = _as_int(p, "ap_fast: p", lo=3)
     _check_good_reduction(D, p)
     if p % 4 == 1:
         ts = two_squares(p)
         return _ap_kernel(D, ts.alpha, ts.beta)
     if p % 4 != 3 or not is_prime_u64(p):
-        raise PreconditionError(f"ap_fast wants an odd prime, got {p}")
+        raise PreconditionError(f"ap_fast wants an odd prime, got {_show(p)}")
     return 0
 
 

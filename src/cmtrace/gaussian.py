@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .errors import PreconditionError, _as_int
+from .errors import PreconditionError, _as_int, _show
 from .primes import is_prime_u64
 
 
@@ -82,7 +82,7 @@ def gi_divmod(a: GaussianInt, b: GaussianInt) -> tuple[GaussianInt, GaussianInt]
     q = GaussianInt(_round_half_down(t.re, n), _round_half_down(t.im, n))
     r = a - q * b
     if r.norm() * 2 > n:
-        raise AssertionError(f"gi_divmod({a}, {b}): remainder {r} too large")
+        raise AssertionError(f"gi_divmod({_show(a)}, {_show(b)}): remainder {_show(r)} too large")
     return q, r
 
 
@@ -122,13 +122,13 @@ def make_primary(z: GaussianInt) -> tuple[int, GaussianInt]:
     if z.is_zero() or z.is_unit():
         raise PreconditionError(f"make_primary: {z} is zero or a unit")
     if not z.is_odd():
-        raise PreconditionError(f"make_primary: {z} is even (norm divisible by 2)")
+        raise PreconditionError(f"make_primary: {_show(z)} is even (norm divisible by 2)")
     w = z
     for k in range(4):
         if is_primary(w):
             return k, w
         w = GI_I * w
-    raise AssertionError(f"no primary associate for {z}")  # unreachable
+    raise AssertionError(f"no primary associate for {_show(z)}")  # unreachable
 
 
 def gi_gcd(a: GaussianInt, b: GaussianInt) -> GaussianInt:
@@ -165,7 +165,7 @@ class TwoSquares:
     def __post_init__(self):
         a, b = self.alpha, self.beta
         if not (a % 4 == 1 and b > 0 and b % 2 == 0 and a * a + b * b == self.p):
-            raise PreconditionError(f"{self} is not a normalized two-squares split")
+            raise PreconditionError(f"{_show(self)} is not a normalized two-squares split")
 
 
 def sqrt_minus_one(p: int) -> int:
@@ -176,7 +176,7 @@ def sqrt_minus_one(p: int) -> int:
     """
     p = _as_int(p, "sqrt_minus_one: p")
     if p % 4 != 1 or not is_prime_u64(p):
-        raise PreconditionError(f"sqrt_minus_one wants a prime p ≡ 1 (mod 4), got {p}")
+        raise PreconditionError(f"sqrt_minus_one wants a prime p ≡ 1 (mod 4), got {_show(p)}")
     e = (p - 1) // 4
     g = 2
     while (z := pow(g, e, p)) * z % p != p - 1:

@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from math import gcd, isqrt, prod, sqrt
 
-from .errors import PreconditionError, _as_int
+from .errors import PreconditionError, _as_int, _show
 from .primes import _SIEVE_MAX, _U64_MAX, _mod_primes, _pow_mod_array, is_prime_u64, sieve_primes
 
 __all__ = ["HLPoly", "hl_admissible", "hl_delta", "hl_count"]
@@ -47,7 +47,7 @@ def _as_poly(f) -> HLPoly:
         return HLPoly(operator.index(a), operator.index(b), operator.index(c))
     except TypeError:
         # only a failing coefficient pays for the message and its repr of f
-        what = f"coefficient of {f!r}"
+        what = f"coefficient of {_show(f, repr)}"
         return HLPoly(_as_int(a, what), _as_int(b, what), _as_int(c, what))
 
 
@@ -106,19 +106,13 @@ def hl_delta(f, prime_bound: int = 1_000_000) -> float:
     tuple, a list or an HLPoly with the same coefficients share one entry.
     """
     f = _as_poly(f)
-    prime_bound = _as_int(prime_bound, "hl_delta: prime_bound")
+    prime_bound = _as_int(prime_bound, "hl_delta: prime_bound", 3, _SIEVE_MAX)
     if not _admissible(f):
-        raise PreconditionError(f"hl_delta: {f} is not admissible")
+        raise PreconditionError(f"hl_delta: {_show(f)} is not admissible")
     try:
         float(f.a)  # the product starts from 1/sqrt(a), taken in floats
     except OverflowError:
         raise PreconditionError("hl_delta: a is past the largest float") from None
-    if prime_bound < 3:
-        raise PreconditionError(f"hl_delta: prime_bound too small: {prime_bound}")
-    if prime_bound > _SIEVE_MAX:
-        raise PreconditionError(
-            f"hl_delta: prime_bound {prime_bound} is over the sieve's cap of 10^9"
-        )
     return _hl_delta(f, prime_bound)
 
 
@@ -144,11 +138,9 @@ def hl_count(f, n: int) -> int:
     largest value, f(lo) or f(hi) since f is convex, is 2^64 or more.
     """
     f = _as_poly(f)
-    n = _as_int(n, "hl_count: n")
+    n = _as_int(n, "hl_count: n", lo=0)
     if f.a <= 0:
-        raise PreconditionError(f"hl_count wants a > 0, got {f}")
-    if n < 0:
-        raise PreconditionError(f"hl_count wants n >= 0, got {n}")
+        raise PreconditionError(f"hl_count wants a > 0, got {_show(f)}")
     # f(x) <= n iff (2ax + b)^2 <= disc + 4an, i.e. |2ax + b| <= isqrt(disc + 4an)
     span = f.disc + 4 * f.a * n
     s = isqrt(max(span, 0))
@@ -157,9 +149,11 @@ def hl_count(f, n: int) -> int:
         return 0
     if max(f(lo), f(hi)) > _U64_MAX:
         raise PreconditionError(
-            f"hl_count: {f} has values <= n = {n} at or above 2^64; "
+            f"hl_count: {_show(f)} has values <= n = {_show(n)} at or above 2^64; "
             "primality is tested below 2^64 only"
         )
     if hi - lo + 1 > _HL_COUNT_MAX:
-        raise PreconditionError(f"hl_count: {f} needs {hi - lo + 1} values, over {_HL_COUNT_MAX}")
+        raise PreconditionError(
+            f"hl_count: {_show(f)} needs {hi - lo + 1} values, over {_HL_COUNT_MAX}"
+        )
     return len({v for v in map(f, range(lo, hi + 1)) if v >= 2 and is_prime_u64(v)})

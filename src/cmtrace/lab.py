@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import isqrt, log, sqrt
 
 from .density import DensityPair, _lt_constant, density_formula
-from .errors import PreconditionError, _as_int
+from .errors import PreconditionError, _as_int, _show
 from .frobenius import _ap_kernel_array
 from .primes import _SIEVE_MAX, _pow_mod_array, _unmarked, sieve_primes
 
@@ -68,9 +68,7 @@ def lt_predict(D: int, r: int, N: int, prime_bound: int = 1_000_000) -> float:
 
     N runs from 3 to the largest float, since sqrt(N) is taken in floats.
     """
-    N = _as_int(N, "lt_predict: N")
-    if not 3 <= N <= sys.float_info.max:
-        raise PreconditionError(f"lt_predict wants 3 <= N <= {sys.float_info.max:.6g}, got {N}")
+    N = _as_int(N, "lt_predict: N", 3, sys.float_info.max)
     return _lt_constant(density_formula(D, r), r, prime_bound) * sqrt(N) / log(N)
 
 
@@ -152,13 +150,9 @@ def sweep(D: int, r: int, N: int) -> SweepReport:
     """
     D = _as_int(D, "sweep: D")
     r = _as_int(r, "sweep: r")
-    N = _as_int(N, "sweep: N")
     if D == 0 or r == 0:
         raise PreconditionError("sweep wants nonzero D and r")
-    if N < r * r + 1:
-        raise PreconditionError(f"sweep: N={N} below r^2+1={r * r + 1}")
-    if N > _N_MAX:
-        raise PreconditionError(f"sweep: N={N} exceeds {_N_MAX}")
+    N = _as_int(N, "sweep: N", r * r + 1, _N_MAX)
     # numpy loads before the clock starts, so elapsed_seconds times the sweep alone
     import numpy  # noqa: F401
 
@@ -221,7 +215,7 @@ def report_emit(report: SweepReport, fmt: str = "json", path: str | None = None)
         w.writerow(row)
         text = buf.getvalue()
     else:
-        raise PreconditionError(f"report_emit: unknown format {fmt!r}")
+        raise PreconditionError(f"report_emit: unknown format {_show(fmt, repr)}")
     if path is not None:
         try:
             with open(path, "w", encoding="utf-8") as fh:

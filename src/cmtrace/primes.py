@@ -63,9 +63,7 @@ def _mr_composite(n: int, a: int, d: int, s: int) -> bool:
 
 def is_prime_u64(n: int) -> bool:
     """Deterministic primality for 0 <= n < 2^64 (numpy integers included)."""
-    n = _as_int(n, "is_prime_u64: n")
-    if n < 0 or n > _U64_MAX:
-        raise PreconditionError(f"is_prime_u64 input out of range: {n}")
+    n = _as_int(n, "is_prime_u64: n", 0, _U64_MAX)
     if n < 2:
         return False
     if n in _SMALL_SET:
@@ -122,11 +120,9 @@ def sieve_primes(bound: int) -> np.ndarray:
     multiples from q^2 on; index 0, the 1, is never marked and becomes the 2.
     """
     import numpy as np
-    bound = _as_int(bound, "sieve_primes: bound")
+    bound = _as_int(bound, "sieve_primes: bound", hi=_SIEVE_MAX)
     if bound < 2:
         return np.empty(0, dtype=np.int64)
-    if bound > _SIEVE_MAX:
-        raise PreconditionError(f"sieve bound too large: {bound}")
     q = sieve_primes(isqrt(bound))[1:]
     primes = _unmarked((bound + 1) // 2, q * q // 2, q)
     primes *= 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 
-from .errors import PreconditionError, _as_int
+from .errors import PreconditionError, _as_int, _show
 from .frobenius import ap_fast
 from .gaussian import GaussianInt, gi_mod, gi_powmod, is_primary, two_squares
 from .primes import is_prime_u64
@@ -45,6 +45,7 @@ _UNIT_GI = (
     GaussianInt(-1, 0),
     GaussianInt(0, -1),
 )
+_UNIT_VALUE = {g: QuarticValue(k) for k, g in enumerate(_UNIT_GI)}
 
 
 class FourClass(enum.Enum):
@@ -72,7 +73,7 @@ def legendre(a: int, p: int) -> int:
     a = _as_int(a, "legendre: a")
     p = _as_int(p, "legendre: p")
     if p < 3 or p % 2 == 0 or not is_prime_u64(p):
-        raise PreconditionError(f"legendre wants an odd prime modulus, got {p}")
+        raise PreconditionError(f"legendre wants an odd prime modulus, got {_show(p)}")
     a %= p
     if a == 0:
         return 0
@@ -82,14 +83,14 @@ def legendre(a: int, p: int) -> int:
 def _check_primary_prime(pi: GaussianInt) -> int:
     """Validate that pi is a primary Gaussian prime (so odd); return its norm."""
     if not is_primary(pi):
-        raise PreconditionError(f"quartic_symbol: {pi} is not primary")
+        raise PreconditionError(f"quartic_symbol: {_show(pi)} is not primary")
     n = pi.norm()
     if pi.im == 0:
         q = abs(pi.re)
         if not (q % 4 == 3 and is_prime_u64(q)):
-            raise PreconditionError(f"quartic_symbol: {pi} is not prime")
+            raise PreconditionError(f"quartic_symbol: {_show(pi)} is not prime")
     elif not is_prime_u64(n):
-        raise PreconditionError(f"quartic_symbol: {pi} is not prime")
+        raise PreconditionError(f"quartic_symbol: {_show(pi)} is not prime")
     return n
 
 
@@ -101,16 +102,19 @@ def quartic_symbol(lam: GaussianInt, pi: GaussianInt) -> QuarticValue:
     multiply, no shortcuts through F_p. Both arguments must be GaussianInt.
     """
     if not (isinstance(lam, GaussianInt) and isinstance(pi, GaussianInt)):
-        raise PreconditionError(f"quartic_symbol wants two GaussianInt, got {lam!r}, {pi!r}")
+        raise PreconditionError(
+            f"quartic_symbol wants two GaussianInt, got {_show(lam, repr)}, {_show(pi, repr)}"
+        )
     n = _check_primary_prime(pi)
     # pi is prime, so lam shares a factor with it exactly when pi divides lam
     if gi_mod(lam, pi).is_zero():
-        raise PreconditionError(f"quartic_symbol: {lam} shares a factor with {pi}")
+        raise PreconditionError(f"quartic_symbol: {_show(lam)} shares a factor with {_show(pi)}")
+    # w is a gi_mod remainder, which depends only on the class mod pi, and
+    # with N(pi) >= 5 each unit is its own remainder: w is the unit itself
     w = gi_powmod(lam, (n - 1) // 4, pi)
-    hits = [val for val in QuarticValue if gi_mod(w - val.to_gaussian(), pi).is_zero()]
-    if len(hits) != 1:
-        raise AssertionError(f"quartic_symbol({lam}, {pi}): {w} is not one unit mod pi")
-    return hits[0]
+    if w not in _UNIT_VALUE:
+        raise AssertionError(f"quartic_symbol({_show(lam)}, {_show(pi)}): {_show(w)} is not a unit")
+    return _UNIT_VALUE[w]
 
 
 def reciprocity_check(lam: GaussianInt, pi: GaussianInt) -> bool:
@@ -139,7 +143,7 @@ def quartic_class_of(D: int, p: int) -> FourClass:
     """
     p = _as_int(p, "quartic_class_of: p")
     if p % 4 != 1:
-        raise PreconditionError(f"quartic_class_of wants p ≡ 1 (mod 4), got {p}")
+        raise PreconditionError(f"quartic_class_of wants p ≡ 1 (mod 4), got {_show(p)}")
     return _trace_class(ap_fast(D, p))
 
 

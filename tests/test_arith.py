@@ -176,16 +176,22 @@ def test_split_invariants():
         r = rng.randint(-40, 40)
         if D == 0 or r == 0:
             continue
-        try:
-            sp = split_d(D, r)
-        except PreconditionError:
-            continue
-        assert sp.d * sp.dbar == D
+        sp = split_d(D, r)
+        assert sp.D == reduce_quartic_twist(D)
+        assert sp.d * sp.dbar == sp.D
         assert gcd(sp.d, sp.dbar) == 1
         assert sp.d > 0 and sp.d % 2 == 1
         assert r % rad_odd(sp.d) == 0
         assert gcd(rad_odd(sp.dbar), r) == 1
         done += 1
+
+
+def test_split_strips_fourth_powers():
+    # one factorization: split_d reduces D by fourth powers itself
+    for D in (1, -1, 3, -21, 2, -8, 18, 27 * 5, -4001):
+        for t in (2, 3, 5, 6, 7):
+            for r in (1, -3, 2, 6, 15, 35):
+                assert split_d(D * t**4, r) == split_d(D, r), (D, t, r)
 
 
 def test_progression_set_examples():

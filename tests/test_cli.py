@@ -97,7 +97,8 @@ def test_density_zero_D_exits_2(capsys):
 def test_density_oracle_r_from_2_32_exits_2(capsys):
     code, out, err = run(capsys, "density", "--D", "5", "--r", "4294967296", "--mode", "oracle")
     assert code == 2 and out == ""
-    assert "r = 4294967296" in err and "is_prime_u64" not in err, err
+    assert "density_oracle: r must be at most 4294967295, got 4294967296" in err, err
+    assert "is_prime_u64" not in err, err
 
 
 def test_sweep_stdout_json(capsys):
@@ -148,7 +149,7 @@ def test_hl_bound_over_sieve_cap_exits_2(capsys):
     code, out, err = run(capsys, "hl", "--a", "1", "--b", "0", "--c", "1",
                          "--bound", "10000000000")
     assert code == 2 and out == ""
-    assert err == "error: hl_delta: prime_bound 10000000000 is over the sieve's cap of 10^9\n"
+    assert err == "error: hl_delta: prime_bound must be at most 1000000000, got 10000000000\n"
 
 
 def test_hl_rejected_count_prints_nothing(capsys, monkeypatch):
@@ -163,7 +164,7 @@ def test_hl_rejected_count_prints_nothing(capsys, monkeypatch):
     # a bad bound that comes with a valid count is rejected after the count
     code, out, err = run(capsys, "hl", "--a", "1", "--b", "0", "--c", "1",
                          "--bound", "2", "--count-to", "100")
-    assert code == 2 and out == "" and "prime_bound too small" in err
+    assert code == 2 and out == "" and "hl_delta: prime_bound must be at least 3, got 2" in err
     # sqrt(n) of the estimate is a float, so n stops at the largest float
     code, out, err = run(capsys, "hl", "--a", "1", "--b", str(10**400), "--c", "1",
                          "--count-to", str(10**399))
@@ -196,6 +197,23 @@ def test_zero_scan_cap_exits_2(capsys):
         code, out, err = run(capsys, "zero-scan", "--dmax", str(dmax), "--rmax", str(rmax))
         assert code == 2 and out == "", (dmax, rmax)
         assert "cells" in err
+
+
+# 4,001 digits: argparse reads it, and the grid's cell count or r^2 + 1 has
+# over 4,300, past Python's limit for printing an int
+_HUGE_ARG = str(10**4000)
+
+
+def test_zero_scan_huge_grid_exits_2(capsys):
+    code, out, err = run(capsys, "zero-scan", "--dmax", _HUGE_ARG, "--rmax", _HUGE_ARG)
+    assert code == 2 and out == ""
+    assert err.startswith("error: zero-scan grid has <int of ") and "cells" in err, err
+
+
+def test_sweep_huge_r_exits_2(capsys):
+    code, out, err = run(capsys, "sweep", "--D", "1", "--r", _HUGE_ARG, "--N", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: sweep: N must be at least <int of "), err
 
 
 def test_selftest_passes(capsys):

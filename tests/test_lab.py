@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from math import gcd, isqrt
 from pathlib import Path
@@ -514,7 +515,8 @@ def test_lt_predict_identity():
 def test_lt_predict_rejects():
     with pytest.raises(PreconditionError):
         lt_predict(1, 1, 2)
-    with pytest.raises(PreconditionError, match="prime_bound 1000000000000 .* 10\\^9"):
+    message = "hl_delta: prime_bound must be at most 1000000000, got 10{12}$"
+    with pytest.raises(PreconditionError, match=message):
         lt_predict(-21, 1, 10**6, prime_bound=10**12)
 
 
@@ -645,20 +647,20 @@ def test_drivers_never_split(monkeypatch, r):
 
 
 @pytest.mark.parametrize("D, r", [(-21, 1), (-46, 10), (10**18 + 3, 1), (2 * (10**12 + 39), 2)])
-def test_density_factors_D_twice(monkeypatch, D, r):
-    # once to strip fourth powers, once to split the result against r
+def test_density_factors_D_once(monkeypatch, D, r):
+    # split_d strips fourth powers from the one factorization it splits
     log = _log_calls(monkeypatch, arith.factorize)
     density_formula(D, r)
-    assert len(log) == 2
+    assert len(log) == 1
     is_zero_pair(D, r)
-    assert len(log) == 4
+    assert len(log) == 2
 
 
-def test_sweep_factors_D_twice(monkeypatch):
+def test_sweep_factors_D_once(monkeypatch):
     # the Lang-Trotter prediction reuses the sweep's density pair
     log = _log_calls(monkeypatch, arith.factorize)
     sweep(-21, 2, 10**5)
-    assert len(log) == 2
+    assert len(log) == 1
 
 
 def test_each_trace_route_tests_p_once(monkeypatch):
@@ -755,14 +757,16 @@ _GUARD_CALLS = {
     ),
     "density_oracle(0, 1)": (lambda: density_oracle(0, 1), "density_oracle wants nonzero D"),
     "ap_binomial_residue p=10000121 > 10^7": (
-        lambda: ap_binomial_residue(10_000_121), "p=10000121 exceeds cap=10000000"
+        lambda: ap_binomial_residue(10_000_121),
+        "ap_binomial_residue: p must be at most 10000000, got 10000121",
     ),
     "gi_powmod exp=-1": (
         lambda: gaussian.gi_powmod(_GI(2, 0), -1, _GI(3, 2)), "gi_powmod wants exp >= 0"
     ),
     "gi_gcd(0, 0)": (lambda: gaussian.gi_gcd(_GI(0, 0), _GI(0, 0)), r"gi_gcd\(0, 0\)"),
     "sieve_primes(10^9 + 1)": (
-        lambda: sieve_primes(10**9 + 1), "sieve bound too large: 1000000001"
+        lambda: sieve_primes(10**9 + 1),
+        "sieve_primes: bound must be at most 1000000000, got 1000000001",
     ),
 }
 
@@ -779,6 +783,42 @@ def test_guard_raises_before_work(call):
     finally:
         tracemalloc.stop()
     assert peak < 2**16, peak
+
+
+# a value of 5,000 or more digits, past Python's limit for printing an int
+# (4,300 digits), at every entry point that names its arguments in a message
+_HUGE = 10**5000
+_HUGE_CALLS = {
+    "is_prime_u64": lambda: is_prime_u64(_HUGE),
+    "sieve_primes": lambda: sieve_primes(_HUGE),
+    "factorize": lambda: arith.factorize(_HUGE + 1),
+    "shape_of": lambda: arith.shape_of(2**20000),
+    "split_d": lambda: arith.split_d(_HUGE + 1, 1),
+    "progression_set": lambda: arith.progression_set(-_HUGE, 1),
+    "two_squares": lambda: gaussian.two_squares(_HUGE + 1),
+    "sqrt_minus_one": lambda: gaussian.sqrt_minus_one(_HUGE),
+    "legendre": lambda: residue_symbols.legendre(1, _HUGE),
+    "quartic_class_of": lambda: residue_symbols.quartic_class_of(3, _HUGE),
+    "ap_naive": lambda: ap_naive(3, -_HUGE),
+    "ap_fast": lambda: ap_fast(5 * _HUGE, 5),
+    "density_formula": lambda: density_formula(_HUGE + 1, 1),
+    "is_zero_pair": lambda: is_zero_pair(_HUGE + 1, 1),
+    "density_oracle": lambda: density_oracle(3 * 2**20000, 1, x_max=0),
+    "hl_delta": lambda: cmtrace.hl_delta((2 * _HUGE, 0, 2)),
+    "hl_count": lambda: hl_count((1, 0, 1), -_HUGE),
+    "lt_predict": lambda: lt_predict(1, 1, _HUGE),
+    "sweep": lambda: sweep(1, _HUGE, 5),
+}
+
+
+@pytest.mark.parametrize("call", list(_HUGE_CALLS))
+def test_huge_value_rejected_by_its_message(call):
+    # the message shows the value by its bit length, so the rejection itself
+    # cannot fail; factorize's trial division to 10^6 takes ~1.5 s of the 5
+    t0 = time.perf_counter()
+    with pytest.raises(PreconditionError, match=r"<(negative )?int of \d+ bits>|too large to print"):
+        _HUGE_CALLS[call]()
+    assert time.perf_counter() - t0 < 5
 
 
 # every entry that takes a prime p alone, or p next to D

@@ -17,6 +17,9 @@ from cmtrace.gaussian import (
     GaussianInt,
     TwoSquares,
     gi_gcd,
+    gi_mod,
+    gi_powmod,
+    is_primary,
     primary_prime_above,
     sqrt_minus_one,
     two_squares,
@@ -151,6 +154,28 @@ def test_quartic_symbol_multiplicative():
             continue  # shared factor; resample
         assert s12 == s1 * s2
         done += 1
+
+
+def test_quartic_symbol_matches_the_four_way_scan():
+    # the scan the unit lookup replaced: w is congruent to exactly one unit
+    # mod pi, and that unit is the symbol; every primary prime with |re|,
+    # |im| <= 20 against lam of both small and large coordinates
+    pis = [
+        z for z in (GaussianInt(a, b) for a in range(-20, 21) for b in range(-20, 21))
+        if is_primary(z)
+        and (trial_is_prime(abs(z.re)) and abs(z.re) % 4 == 3 if z.im == 0
+             else trial_is_prime(z.norm()))
+    ]
+    assert len(pis) > 100
+    rng = random.Random(1034)
+    for pi in pis:
+        for bound in (30, 10**9) * 10:
+            lam = GaussianInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
+            if gi_mod(lam, pi).is_zero():
+                continue
+            w = gi_powmod(lam, (pi.norm() - 1) // 4, pi)
+            hits = [val for val in QuarticValue if gi_mod(w - val.to_gaussian(), pi).is_zero()]
+            assert hits == [quartic_symbol(lam, pi)], (lam, pi)
 
 
 def test_reciprocity_examples():
