@@ -13,7 +13,7 @@ import functools
 
 from .errors import PreconditionError, _as_int, _show
 from .gaussian import two_squares
-from .primes import _mod_primes, _pow_mod_array, is_prime_u64
+from .primes import _U64_MAX, _mod_primes, _pow_mod_array, is_prime_u64
 
 __all__ = [
     "NAIVE_CAP",
@@ -127,7 +127,7 @@ def ap_fast(D: int, p: int) -> int:
     two_squares is then the primality test of p.
     """
     D = _coeff(D)
-    p = _as_int(p, "ap_fast: p", lo=3)
+    p = _as_int(p, "ap_fast: p", 3, _U64_MAX)
     _check_good_reduction(D, p)
     if p % 4 == 1:
         ts = two_squares(p)

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import PreconditionError, _as_int, _show
-from .primes import is_prime_u64
+from .primes import _U64_MAX, is_prime_u64
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,7 +174,7 @@ def sqrt_minus_one(p: int) -> int:
     The one primality gate of the two-squares stack: two_squares and every
     routine built on it reject a composite p here.
     """
-    p = _as_int(p, "sqrt_minus_one: p")
+    p = _as_int(p, "sqrt_minus_one: p", hi=_U64_MAX)
     if p % 4 != 1 or not is_prime_u64(p):
         raise PreconditionError(f"sqrt_minus_one wants a prime p ≡ 1 (mod 4), got {_show(p)}")
     e = (p - 1) // 4
@@ -189,12 +189,12 @@ def two_squares(p: int) -> TwoSquares:
     """Normalized two-squares decomposition of a prime p ≡ 1 (mod 4).
 
     Cornacchia-style descent: run Euclid on (p, sqrt(-1) mod p); the first
-    remainder below sqrt(p) is the odd leg up to sign. Any other p, a
-    composite or p >= 2^64 included, raises PreconditionError from
+    remainder below sqrt(p) is the odd leg up to sign. A p >= 2^64 raises
+    PreconditionError here, any other p, a composite included, from
     sqrt_minus_one. The cache is typed, so 13.0 never hits the entry of
     np.int64(13) and is rejected like any other non-integer.
     """
-    p = _as_int(p, "two_squares: p")
+    p = _as_int(p, "two_squares: p", hi=_U64_MAX)
     a, b = p, sqrt_minus_one(p)
     while b * b > p:
         a, b = b, a % b
@@ -214,6 +214,6 @@ def primary_prime_above(p: int) -> GaussianInt:
     beta ≡ 0 (mod 4) gives alpha + beta*i itself, beta ≡ 2 (mod 4) flips the
     real part's sign to restore primarity while keeping im > 0.
     """
-    ts = two_squares(p)
+    ts = two_squares(_as_int(p, "primary_prime_above: p", hi=_U64_MAX))
     re = ts.alpha if ts.beta % 4 == 0 else -ts.alpha
     return GaussianInt(re, ts.beta)

@@ -8,9 +8,10 @@ own multiples; it classifies the traces of all of them on their
 legs as one array, and packages the tallies next to the closed-form
 prediction and the Lang-Trotter style count prediction, so one report
 carries everything needed to eyeball (or assert) agreement. What depends
-only on N (the sieving primes and their square roots of -1) is computed
-once and cached, and hl_delta remembers the Euler product of x^2 + r^2
-per r^2 and bound.
+only on (|r|, N) is computed once and cached: _sieve_base holds the
+sieving primes and their square roots of -1 per isqrt(N), and _prime_legs
+the sieved legs per (|r|, N), so a sweep over many D pays the sieve once.
+hl_delta remembers the Euler product of x^2 + r^2 per r^2 and bound.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def _sqrt_minus_one_mod(q: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=2)
 def _sieve_base(root: int) -> tuple[np.ndarray, np.ndarray]:
     """The odd primes q <= root and sqrt(-1) mod each (0 where q ≡ 3 (mod 4)),
-    read-only. Neither depends on D or r, so a sweep reuses them for every
-    (D, r) with the same root = isqrt(N)."""
+    read-only. Neither depends on D or r, so _prime_legs reuses them for
+    every r with the same root = isqrt(N); it reads them only on its own miss."""
     q = sieve_primes(root)[1:]
     i = _sqrt_minus_one_mod(q)
     q.setflags(write=False)
@@ -105,26 +106,29 @@ def _sieve_base(root: int) -> tuple[np.ndarray, np.ndarray]:
     return q, i
 
 
-def _scan(D: int, r: int, N: int) -> tuple[int, int, int, int]:
-    """Tallies over the primes p = r^2 + y^2 <= N not dividing 2D.
+@functools.lru_cache(maxsize=16)
+def _prime_legs(r_abs: int, N: int) -> np.ndarray:
+    """The legs y > 0 of the primes p = r^2 + y^2 <= N with |r| = r_abs, as a
+    read-only int64 array in increasing order.
 
-    y > 0 runs over the parity opposite to r (no other y can make p prime
-    or even odd), as y = y0 + 2j for 0 <= j < n. An odd prime q divides
+    y runs over the parity opposite to r (no other y can make p prime or
+    even odd), as y = y0 + 2j for 0 <= j < n. An odd prime q divides
     r^2 + y^2 exactly when y ≡ ±r*sqrt(-1) (mod q), where sqrt(-1) exists
     (q ≡ 1 (mod 4)) or q | r (then the root is y ≡ 0). For every odd
     q <= isqrt(N) the sieve marks the j on those roots, starting one step
     past the single leg with r^2 + y^2 = q, which is q itself and prime. A
     composite p <= N has a prime factor q <= isqrt(N) other than p, so the
-    unmarked legs are exactly the primes. They stay one int64 array, and
-    the vector kernel classifies them all at once; its 0 marks the p
-    dividing D.
+    unmarked legs are exactly the primes. Both roots are marked, so r and
+    -r have one leg set, and neither depends on D: a sweep reuses it for
+    every D with the same (|r|, N). An entry holds 8 bytes per leg, 3.65 MB
+    at N = 10^14, so the 16 entries hold at most ~58 MB there.
     """
     import numpy as np
-    r2 = r * r
-    y0 = 2 if r % 2 else 1
+    r2 = r_abs * r_abs
+    y0 = 2 if r_abs % 2 else 1
     n = max(0, (isqrt(N - r2) - y0) // 2 + 1)
     q, i = _sieve_base(isqrt(N))
-    rq = r % q
+    rq = r_abs % q
     k = np.flatnonzero((i != 0) | (rq == 0))  # indices gather faster than a mask
     steps = np.tile(q[k], 2)
     ri = rq[k] * i[k]
@@ -133,8 +137,18 @@ def _scan(D: int, r: int, N: int) -> tuple[int, int, int, int]:
     y = starts * 2 + y0
     starts += np.where(y * y + r2 == steps, steps, 0)  # step past p = q itself
     legs = _unmarked(n, starts, steps) * 2 + y0
+    legs.setflags(write=False)
+    return legs
 
-    a = _ap_kernel_array(D, r, legs)
+
+def _scan(D: int, r: int, N: int) -> tuple[int, int, int, int]:
+    """Tallies over the primes p = r^2 + y^2 <= N not dividing 2D.
+
+    The vector kernel classifies the cached legs of (|r|, N) all at once,
+    with r's sign in its alpha; its 0 marks the p dividing D.
+    """
+    import numpy as np
+    a = _ap_kernel_array(D, r, _prime_legs(abs(r), N))
     n_primes = int(np.count_nonzero(a))
     n_plus = int(np.count_nonzero(a == 2 * r))
     n_minus = int(np.count_nonzero(a == -2 * r))
@@ -146,7 +160,10 @@ def sweep(D: int, r: int, N: int) -> SweepReport:
 
     y runs over the parity opposite to r (no other y can make p prime or
     even odd). Primes dividing 2D are excluded from every tally. The sieve
-    needs every prime up to isqrt(N), so N is capped at 10^18.
+    needs every prime up to isqrt(N), so N is capped at 10^18. Its legs
+    are cached per (|r|, N), so a repeated (|r|, N) pays only the trace
+    kernel: at N = 10^12 a warm sweep takes ~0.012 s against ~0.02 s
+    with the legs sieved (2 vCPU), and elapsed_seconds times what ran.
     """
     D = _as_int(D, "sweep: D")
     r = _as_int(r, "sweep: r")

@@ -15,7 +15,7 @@ import enum
 from .errors import PreconditionError, _as_int, _show
 from .frobenius import ap_fast
 from .gaussian import GaussianInt, gi_mod, gi_powmod, is_primary, two_squares
-from .primes import is_prime_u64
+from .primes import _U64_MAX, is_prime_u64
 
 
 class QuarticValue(enum.Enum):
@@ -71,7 +71,7 @@ def _trace_class(a: int) -> FourClass:
 def legendre(a: int, p: int) -> int:
     """Quadratic residue symbol (a/p) in {-1, 0, 1} for an odd prime p."""
     a = _as_int(a, "legendre: a")
-    p = _as_int(p, "legendre: p")
+    p = _as_int(p, "legendre: p", hi=_U64_MAX)
     if p < 3 or p % 2 == 0 or not is_prime_u64(p):
         raise PreconditionError(f"legendre wants an odd prime modulus, got {_show(p)}")
     a %= p
@@ -141,7 +141,7 @@ def quartic_class_of(D: int, p: int) -> FourClass:
     is the member of ±alpha, ±beta that the class names: the class of
     ap_fast's trace.
     """
-    p = _as_int(p, "quartic_class_of: p")
+    p = _as_int(p, "quartic_class_of: p", hi=_U64_MAX)
     if p % 4 != 1:
         raise PreconditionError(f"quartic_class_of wants p ≡ 1 (mod 4), got {_show(p)}")
     return _trace_class(ap_fast(D, p))
@@ -154,7 +154,7 @@ def two_quartic_class(p: int) -> FourClass:
     (mod 8) hold identically, so the case split collapses to beta mod 8:
     0 -> +alpha, 4 -> -alpha, 2 -> +beta, 6 -> -beta. No exponentiation.
     """
-    b8 = two_squares(p).beta % 8
+    b8 = two_squares(_as_int(p, "two_quartic_class: p", hi=_U64_MAX)).beta % 8
     if b8 == 0:
         return FourClass.PLUS_ALPHA
     if b8 == 4:

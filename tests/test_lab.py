@@ -319,11 +319,12 @@ def test_pow_mod_array_memory():
 
 
 def test_no_table_at_import():
-    # the sieve base and the Euler products are built by the first call, not by import
+    # the sieve base, the legs and the Euler products are built by the first call, not by import
     code = (
         "import cmtrace\n"
         "from cmtrace import hardy_littlewood, lab\n"
         "assert lab._sieve_base.cache_info().currsize == 0\n"
+        "assert lab._prime_legs.cache_info().currsize == 0\n"
         "assert hardy_littlewood._hl_delta.cache_info().currsize == 0\n"
     )
     src = str(Path(cmtrace.__file__).resolve().parent.parent)
@@ -475,6 +476,47 @@ def _sweep_args(draw):
 @example(args=(-21, 15, 10**5))  # 3 and 5 | r: q ≡ 3 and q ≡ 1 (mod 4) both divide r
 def test_sweep_matches_scalar_scan(args):
     assert _tally(sweep(*args)) == scalar_scan(*args)
+
+
+@st.composite
+def _two_sweeps_args(draw):
+    D1, r, N = draw(_sweep_args())
+    return D1, draw(st.integers(-(10**6), 10**6).filter(bool)), r, N
+
+
+@settings(deadline=None, max_examples=60)
+@given(args=_two_sweeps_args())
+@example(args=(5, -21, 1, 10**6))   # p = 5 divides 2*D1 only
+@example(args=(-21, 7, 6, 10**4))   # 3 | r: its one root y ≡ 0 serves r and -r
+def test_warm_legs_match_scalar_scan(args):
+    # the second sweep reads the legs of (|r|, N) that the first cached, under
+    # -r and another D; the second pass reads both warm
+    D1, D2, r, N = args
+    want = scalar_scan(D1, r, N), scalar_scan(D2, -r, N)
+    lab._prime_legs.cache_clear()
+    for _ in range(2):
+        assert (_tally(sweep(D1, r, N)), _tally(sweep(D2, -r, N))) == want
+
+
+def test_legs_keyed_on_N():
+    # 100 and 110 share isqrt 10 and so the sieving primes, but only
+    # 110 - 1 = 109 reaches the leg y = 10 of the prime 101
+    for N in (100, 110, 100):
+        assert _tally(sweep(-21, 1, N)) == scalar_scan(-21, 1, N)
+
+
+def test_cached_legs_are_read_only():
+    legs = lab._prime_legs(1, 10**6)
+    with pytest.raises(ValueError):
+        legs[0] = 4
+    assert _tally(sweep(-21, 1, 10**6)) == scalar_scan(-21, 1, 10**6)
+
+
+def test_legs_cache_is_bounded():
+    maxsize = lab._prime_legs.cache_info().maxsize
+    for r in range(1, maxsize + 6):
+        sweep(-21, r, 10**5)
+    assert lab._prime_legs.cache_info().currsize <= maxsize
 
 
 @pytest.mark.parametrize("D, r", [(-21, 1), (-21, 2), (7, 15), (13, 65), (-6, 21)])
@@ -819,6 +861,26 @@ def test_huge_value_rejected_by_its_message(call):
     with pytest.raises(PreconditionError, match=r"<(negative )?int of \d+ bits>|too large to print"):
         _HUGE_CALLS[call]()
     assert time.perf_counter() - t0 < 5
+
+
+# every entry of the two-squares stack and legendre: a p past 2^64 is
+# rejected by the entry's own name, before is_prime_u64 would see it
+_U64_ROUTES = {
+    "ap_fast": lambda p: ap_fast(3, p),
+    "two_squares": gaussian.two_squares,
+    "sqrt_minus_one": gaussian.sqrt_minus_one,
+    "primary_prime_above": gaussian.primary_prime_above,
+    "legendre": lambda p: residue_symbols.legendre(3, p),
+    "quartic_class_of": lambda p: residue_symbols.quartic_class_of(3, p),
+    "two_quartic_class": residue_symbols.two_quartic_class,
+}
+
+
+@pytest.mark.parametrize("p", [2**64 + 13, _HUGE + 1], ids=["2^64+13", "5001 digits"])
+@pytest.mark.parametrize("route", list(_U64_ROUTES))
+def test_p_past_u64_rejected_by_its_entry(route, p):
+    with pytest.raises(PreconditionError, match=rf"^{route}: p must be at most {2**64 - 1}, got "):
+        _U64_ROUTES[route](p)
 
 
 # every entry that takes a prime p alone, or p next to D
