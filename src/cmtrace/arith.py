@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .errors import PreconditionError, _as_int, _show
+from .errors import PreconditionError, _as_int, _nonzero_int, _show
 from .primes import _U64_MAX, is_prime_u64
 
 _TRIAL_BOUND = 10**6
@@ -23,11 +23,10 @@ def factorize(n: int) -> dict[int, int]:
 
     The cofactor left at that bound must be 1 or a prime below 2^64;
     anything else raises PreconditionError instead of grinding on, and so
-    does a non-integer n.
+    does a non-integer n; a cofactor that fails names factorize, whichever
+    closed form the caller called.
     """
-    n = abs(_as_int(n, "factorize: n"))
-    if n == 0:
-        raise PreconditionError("factorize(0)")
+    n = abs(_nonzero_int(n, "factorize: n"))
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -42,7 +41,10 @@ def factorize(n: int) -> dict[int, int]:
                 n //= p
         f += 6
     if f * f <= n and (n > _U64_MAX or not is_prime_u64(n)):
-        raise PreconditionError(f"factorize: cofactor {_show(n)} is not a prime below 2^64")
+        raise PreconditionError(
+            f"factorize: n leaves the cofactor {_show(n)} after trial division to "
+            f"{_TRIAL_BOUND}, which is not a prime below 2^64"
+        )
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -63,9 +65,8 @@ def tau(D: int) -> int:
     of l is traded for l-2 (the split primes cost a class): l^(e-1) * (l-2).
     tau(±1) = 1 and tau(2^e) = 2^e.
     """
-    if D == 0:
-        raise PreconditionError("tau(0)")
-    return prod(l ** (e - 1) * _tau_prime(l) for l, e in factorize(D).items())
+    fac = factorize(_nonzero_int(D, "tau: D"))
+    return prod(l ** (e - 1) * _tau_prime(l) for l, e in fac.items())
 
 
 def _tau_prime(l: int) -> int:
@@ -74,22 +75,15 @@ def _tau_prime(l: int) -> int:
 
 
 def euler_phi(n: int) -> int:
-    if n == 0:
-        raise PreconditionError("euler_phi(0)")
-    n = abs(n)
-    if n == 1:
-        return 1
     out = 1
-    for p, e in factorize(n).items():
+    for p, e in factorize(_nonzero_int(n, "euler_phi: n")).items():
         out *= p ** (e - 1) * (p - 1)
     return out
 
 
 def rad_odd(n: int) -> int:
     """Product of the distinct odd primes dividing n (1 if none)."""
-    if n == 0:
-        raise PreconditionError("rad_odd(0)")
-    return prod(p for p in factorize(n) if p != 2)
+    return prod(p for p in factorize(_nonzero_int(n, "rad_odd: n")) if p != 2)
 
 
 _RESIDUES = (1, 3, 5, 7)
@@ -125,11 +119,10 @@ class DShape:
 
 
 def shape_of(D: int) -> DShape:
-    if D == 0:
-        raise PreconditionError("shape_of(0)")
+    D = _nonzero_int(D, "shape_of: D")
     fac = factorize(D)
     if any(e >= 4 for e in fac.values()):
-        raise PreconditionError(f"shape_of wants fourth-power-free input, got {_show(D)}")
+        raise PreconditionError(f"shape_of: D must be fourth-power-free, got {_show(D)}")
     return _shape(1 if D > 0 else -1, fac)
 
 
@@ -178,9 +171,11 @@ class DSplit:
 
 
 def split_d(D: int, r: int) -> DSplit:
-    r = _as_int(r, "split_d: r")
-    if D == 0 or r == 0:
-        raise PreconditionError("split_d wants nonzero D and r")
+    return _split_d(_nonzero_int(D, "split_d: D"), _nonzero_int(r, "split_d: r"))
+
+
+def _split_d(D: int, r: int) -> DSplit:
+    # split_d on checked, nonzero ints
     fac = {l: e % 4 for l, e in factorize(D).items() if e % 4}
     sign = 1 if D > 0 else -1
     fac_d = {l: e for l, e in fac.items() if l != 2 and r % l == 0}
@@ -193,7 +188,7 @@ def split_d(D: int, r: int) -> DSplit:
 
 def rho(r: int) -> int:
     """Parity offset of the progression: 0 for odd r, 1 for even."""
-    return 0 if r % 2 else 1
+    return 0 if _as_int(r, "rho: r") % 2 else 1
 
 
 # the classes are walked one gcd at a time, 2|D| of them
@@ -208,11 +203,9 @@ def progression_set(D: int, r: int) -> tuple[int, ...]:
     gcd(|D|, (2k + rho)^2 + r^2) = 1. Returns the surviving k in increasing
     order, for 0 < |D| <= 10^5 and r != 0.
     """
-    D = _as_int(D, "progression_set: D", -_PROGRESSION_D_MAX, _PROGRESSION_D_MAX)
-    r = _as_int(r, "progression_set: r")
-    if D == 0 or r == 0:
-        raise PreconditionError("progression_set wants nonzero D and r")
+    D = _nonzero_int(D, "progression_set: D", -_PROGRESSION_D_MAX, _PROGRESSION_D_MAX)
     D_abs = abs(D)
+    r = _nonzero_int(r, "progression_set: r")
     off = rho(r)
     return tuple(
         k for k in range(1, 2 * D_abs + 1) if gcd(D_abs, (2 * k + off) ** 2 + r * r) == 1
@@ -221,9 +214,8 @@ def progression_set(D: int, r: int) -> tuple[int, ...]:
 
 def reduce_quartic_twist(D: int) -> int:
     """Strip fourth powers from D; the curve's traces only see the result."""
-    if D == 0:
-        raise PreconditionError("reduce_quartic_twist(0)")
-    fac = factorize(D)  # first, so a non-integer D is rejected here
+    D = _nonzero_int(D, "reduce_quartic_twist: D")
+    fac = factorize(D)
     out = 1 if D > 0 else -1
     for l, e in fac.items():
         out *= l ** (e % 4)

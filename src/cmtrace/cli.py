@@ -83,7 +83,7 @@ def _cmd_hl(args) -> int:
     n = args.count_to
     # the estimate takes sqrt(n) in floats, so n stops at the largest float
     if n is not None:
-        _as_int(n, "--count-to", hi=sys.float_info.max)
+        _as_int(n, "hl: --count-to", hi=sys.float_info.max)
     cnt = hl_count(poly, n) if n is not None else None
     # the last two partial products are a crude convergence indicator;
     # the full bound goes first, so one over the cap exits before any sieve
@@ -110,7 +110,7 @@ def _cmd_zero_scan(args) -> int:
     cells = (2 * max(args.dmax, 0) + 1) * (2 * max(args.rmax, 0) + 1)
     if cells > _ZERO_SCAN_MAX:
         raise PreconditionError(
-            f"zero-scan grid has {_show(cells)} (D, r) cells, over {_ZERO_SCAN_MAX}"
+            f"zero-scan: --dmax and --rmax span {_show(cells)} (D, r) cells, over {_ZERO_SCAN_MAX}"
         )
     rows = 0
     formula_only = 0

@@ -22,20 +22,21 @@ from fractions import Fraction
 from math import prod
 
 from .arith import (
+    _PROGRESSION_D_MAX,
     DShape,
     DSplit,
+    _split_d,
     _tau_prime,
     progression_set,
     reduce_quartic_twist,
     rho,
-    split_d,
     v2,
 )
-from .errors import NoRepresentativeFound, PreconditionError, _as_int, _show
+from .errors import NoRepresentativeFound, PreconditionError, _as_int, _nonzero_int, _show
 from .frobenius import _ap_kernel
 from .gaussian import GaussianInt
 from .hardy_littlewood import HLPoly, hl_delta
-from .primes import is_prime_u64
+from .primes import _SIEVE_MAX, is_prime_u64
 from .residue_symbols import FourClass, _trace_class, class_to_value
 
 __all__ = [
@@ -60,7 +61,9 @@ class DensityPair:
 
     def __post_init__(self):
         if not (0 <= self.d_plus and 0 <= self.d_minus and self.d_plus + self.d_minus <= 1):
-            raise PreconditionError(f"{_show(self)} is not a pair of densities")
+            raise PreconditionError(
+                f"DensityPair: d_plus, d_minus must be densities, got {_show(self)}"
+            )
 
     def swapped(self) -> "DensityPair":
         return DensityPair(self.d_minus, self.d_plus)
@@ -211,13 +214,15 @@ def _normalize(r: int) -> tuple[int, bool]:
     return m, m != r
 
 
+def _check_pair(entry: str, D, r) -> tuple[int, int]:
+    # D and r of a closed form as nonzero ints, rejected by entry's name
+    return _nonzero_int(D, f"{entry}: D"), _nonzero_int(r, f"{entry}: r")
+
+
 def _closed_form(D: int, r: int) -> tuple[DSplit, DensityPair, bool]:
-    """The split of the reduced D against the normalized m, its pair, the swap."""
-    r = _as_int(r, "r")
-    if D == 0 or r == 0:
-        raise PreconditionError("density_formula wants nonzero D and r")
+    """The split of the reduced D against the normalized m, its pair, the swap (D, r checked)."""
     m, swap = _normalize(r)
-    split = split_d(D, m)
+    split = _split_d(D, m)
     return split, (_odd_pair(split) if m % 2 else _even_pair(split)), swap
 
 
@@ -229,7 +234,7 @@ def density_formula(D: int, r: int) -> DensityPair:
     first; both inputs must be nonzero, and D must pass factorize (at most
     one prime factor above 10^6, and that one below 2^64).
     """
-    _, pair, swap = _closed_form(D, r)
+    _, pair, swap = _closed_form(*_check_pair("density_formula", D, r))
     return pair.swapped() if swap else pair
 
 
@@ -237,8 +242,13 @@ def density_formula(D: int, r: int) -> DensityPair:
 # the progression oracle
 
 
-def _find_representative(D: int, D_abs: int, r: int, k: int, x_max: int) -> int:
-    """The first leg y of class k with r^2 + y^2 prime; the caller's D names a failure."""
+# the oracles search p = r^2 + y^2 with is_prime_u64, and from |r| = 2^32 on
+# every such p is 2^64 or more
+_ORACLE_R_MAX = (1 << 32) - 1
+
+
+def _find_representative(name: str, D: int, D_abs: int, r: int, k: int, x_max: int) -> int:
+    """The first leg y of class k with r^2 + y^2 prime; a failure names the oracle and D."""
     r2 = r * r
     base = 2 * k + rho(r)
     step = 4 * D_abs
@@ -246,28 +256,28 @@ def _find_representative(D: int, D_abs: int, r: int, k: int, x_max: int) -> int:
         y = step * x + base
         if is_prime_u64(r2 + y * y):
             return y
-    raise NoRepresentativeFound(D, r, k, x_max)
+    err = NoRepresentativeFound(D, r, k, x_max)
+    err.args = (f"{name}: {err}",)
+    raise err
 
 
 def _class_walk(name: str, D: int, r: int, x_max: int) -> tuple[int, int, Iterator]:
     """Check the oracles' arguments; return the reduced D, r and a lazy class walk.
 
     The walk yields (k, y, a_p) per class k: y is the first leg with p = r^2 + y^2
-    prime, a_p the trace at p (p is odd and coprime to D: good reduction).
+    prime, a_p the trace at p (p is odd and coprime to D: good reduction). The
+    cap on D, progression_set's, holds for D with its fourth powers stripped.
     """
-    x_max = _as_int(x_max, f"{name}: x_max")
-    D = _as_int(D, f"{name}: D")
-    # the search tests p = r^2 + y^2 with is_prime_u64, and from |r| = 2^32
-    # on every such p is 2^64 or more
-    r = _as_int(r, f"{name}: r", 1 - (1 << 32), (1 << 32) - 1)
-    if D == 0 or r == 0:
-        raise PreconditionError(f"{name} wants nonzero D and r")
+    x_max = _as_int(x_max, f"{name}: x_max", lo=0)
+    D = _nonzero_int(D, f"{name}: D")
+    r = _nonzero_int(r, f"{name}: r", -_ORACLE_R_MAX, _ORACLE_R_MAX)
     D0 = reduce_quartic_twist(D)
+    _as_int(D0, f"{name}: D with fourth powers stripped", -_PROGRESSION_D_MAX, _PROGRESSION_D_MAX)
     ks = progression_set(D0, r)
 
     def walk():
         for k in ks:
-            y = _find_representative(D, abs(D0), r, k, x_max)
+            y = _find_representative(name, D, abs(D0), r, k, x_max)
             yield k, y, _ap_kernel(D0, r, y)
 
     return D0, r, walk()
@@ -302,7 +312,9 @@ def sigma_sums(D: int, r: int, x_max: int = 100_000) -> SigmaTriple:
     """
     D0, r, walk = _class_walk("sigma_sums", D, r, x_max)
     if D0 % 2 == 0:
-        raise PreconditionError(f"sigma_sums wants odd D (after reduction), got {_show(D0)}")
+        raise PreconditionError(
+            f"sigma_sums: D must be odd once fourth powers are stripped, got {_show(D)}"
+        )
     # indexed by the parity of k: classes, quadratic symbols (D/p), quartic values
     n, s2, s4 = [0, 0], [0, 0], [GaussianInt(0, 0)] * 2
     for k, y, a in walk:
@@ -391,6 +403,7 @@ def is_zero_pair(D: int, r: int) -> ZeroVerdict:
     matches, the two are checked to agree (an AssertionError, also under
     python -O), so a silent divergence cannot hide here.
     """
+    D, r = _check_pair("is_zero_pair", D, r)
     split, pair, swap = _closed_form(D, r)
     hit = (_odd_zero_row if r % 2 else _even_zero_row)(split)
     row, z_plus, z_minus = hit or (None, False, False)
@@ -413,10 +426,13 @@ def lt_constant(D: int, r: int, prime_bound: int = 1_000_000) -> float:
     (truncated Euler product over p <= prime_bound) and the exact class
     density of a_p = +2r. Exactly 0.0 when the density side vanishes.
     """
+    D, r = _check_pair("lt_constant", D, r)
+    prime_bound = _as_int(prime_bound, "lt_constant: prime_bound", 3, _SIEVE_MAX)
     return _lt_constant(density_formula(D, r), r, prime_bound)
 
 
 def _lt_constant(pair: DensityPair, r: int, prime_bound: int) -> float:
-    # lt_constant on the density pair of (D, r), for callers that hold it
-    # r has passed density_formula; int() keeps a numpy r's square from wrapping
-    return hl_delta(HLPoly(1, 0, int(r) ** 2), prime_bound) * float(pair.d_plus)
+    # lt_constant on the density pair of (D, r), for callers that hold it and
+    # have checked r (an int, so r * r cannot wrap) and prime_bound, so
+    # hl_delta's own checks always pass
+    return hl_delta(HLPoly(1, 0, r * r), prime_bound) * float(pair.d_plus)

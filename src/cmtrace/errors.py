@@ -1,9 +1,10 @@
-"""Exceptions shared across the package, and the integer check of the entry points.
+"""Exceptions shared across the package, and the integer checks of the entry points.
 
 Precondition violations are user-facing (bad arguments, out-of-range inputs)
 and map to CLI exit code 2. Anything else that escapes is an internal bug and
-exits 1 like any uncaught Python error. Every message shows its values
-through _show, so no rejection fails on a value Python refuses to print.
+exits 1 like any uncaught Python error. A rejection begins "<entry>: <arg>",
+the function the caller called and its argument at fault, and shows its
+values through _show, so no rejection fails on a value Python refuses to print.
 """
 
 import operator
@@ -41,6 +42,13 @@ def _as_int(value, what: str, lo=None, hi=None) -> int:
     return n
 
 
+def _nonzero_int(value, what: str, lo=None, hi=None) -> int:
+    """_as_int, and a 0 is rejected as "<what> must be nonzero, got 0"."""
+    if (n := _as_int(value, what, lo, hi)) == 0:
+        raise PreconditionError(f"{what} must be nonzero, got 0")
+    return n
+
+
 class NoRepresentativeFound(PreconditionError):
     """A progression class contained no prime within the search bound.
 
@@ -54,6 +62,6 @@ class NoRepresentativeFound(PreconditionError):
         self.k = k
         self.x_max = x_max
         super().__init__(
-            f"no prime representative for class k={k} of (D={_show(D)}, r={r}) "
-            f"within x <= {_show(x_max)}; raise x_max"
+            f"x_max = {_show(x_max)} finds no prime representative for class k={k} "
+            f"of (D={_show(D)}, r={r}); raise x_max"
         )

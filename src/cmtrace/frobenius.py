@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 
-from .errors import PreconditionError, _as_int, _show
-from .gaussian import two_squares
+from .errors import PreconditionError, _as_int, _nonzero_int, _show
+from .gaussian import _split_for
 from .primes import _U64_MAX, _mod_primes, _pow_mod_array, is_prime_u64
 
 __all__ = [
@@ -32,16 +32,12 @@ NAIVE_CAP = 10_000_000
 _BLOCK = 1 << 12
 
 
-def _coeff(D) -> int:
-    d = _as_int(D, "D")
-    if d == 0:
-        raise PreconditionError("D = 0 is singular")
-    return d
-
-
-def _check_good_reduction(D: int, p: int) -> None:
-    if p == 2 or D % p == 0:
-        raise PreconditionError(f"bad reduction: p={_show(p)} divides 2*D (D={_show(D)})")
+def _check_good_reduction(entry: str, D: int, p: int) -> None:
+    # D and p are checked ints and p is an odd prime, so p divides 2*D exactly when it divides D
+    if D % p == 0:
+        raise PreconditionError(
+            f"{entry}: p must not divide D (bad reduction), got p = {_show(p)}, D = {_show(D)}"
+        )
 
 
 @functools.lru_cache(maxsize=8)
@@ -70,11 +66,11 @@ def ap_naive(D: int, p: int) -> int:
     grinding. Odd prime p with good reduction required.
     """
     import numpy as np
-    D = _coeff(D)
+    D = _nonzero_int(D, "ap_naive: D")
     p = _as_int(p, "ap_naive: p", hi=NAIVE_CAP)
     if p < 3 or not is_prime_u64(p):
-        raise PreconditionError(f"ap_naive wants an odd prime, got {_show(p)}")
-    _check_good_reduction(D, p)
+        raise PreconditionError(f"ap_naive: p must be an odd prime, got {_show(p)}")
+    _check_good_reduction("ap_naive", D, p)
     chi = _chi_table(p)
     dmod = D % p
     total = 0
@@ -102,8 +98,10 @@ def ap_binomial_residue(p: int) -> int:
     product, deliberately ignorant of Gaussian integers.
     """
     p = _as_int(p, "ap_binomial_residue: p", hi=NAIVE_CAP)
-    if p % 4 != 1 or not is_prime_u64(p):
-        raise PreconditionError(f"ap_binomial_residue wants a prime ≡ 1 (mod 4), got {_show(p)}")
+    if p < 5 or p % 4 != 1 or not is_prime_u64(p):
+        raise PreconditionError(
+            f"ap_binomial_residue: p must be a prime ≡ 1 (mod 4), got {_show(p)}"
+        )
     m = (p - 1) // 4
     num = 1
     for j in range(m + 1, 2 * m + 1):
@@ -126,15 +124,14 @@ def ap_fast(D: int, p: int) -> int:
     and the class of D^((p-1)/4) picks the trace out of ±2*alpha, ±2*beta;
     two_squares is then the primality test of p.
     """
-    D = _coeff(D)
+    D = _nonzero_int(D, "ap_fast: D")
     p = _as_int(p, "ap_fast: p", 3, _U64_MAX)
-    _check_good_reduction(D, p)
     if p % 4 == 1:
-        ts = two_squares(p)
-        return _ap_kernel(D, ts.alpha, ts.beta)
-    if p % 4 != 3 or not is_prime_u64(p):
-        raise PreconditionError(f"ap_fast wants an odd prime, got {_show(p)}")
-    return 0
+        ts = _split_for("ap_fast", p, "an odd prime")
+    elif p % 4 != 3 or not is_prime_u64(p):
+        raise PreconditionError(f"ap_fast: p must be an odd prime, got {_show(p)}")
+    _check_good_reduction("ap_fast", D, p)
+    return _ap_kernel(D, ts.alpha, ts.beta) if p % 4 == 1 else 0
 
 
 def _ap_kernel(D: int, x: int, y: int) -> int:

@@ -76,7 +76,7 @@ def gi_divmod(a: GaussianInt, b: GaussianInt) -> tuple[GaussianInt, GaussianInt]
     norm(r) <= norm(b)/2.
     """
     if b.is_zero():
-        raise PreconditionError("gi_divmod by zero")
+        raise PreconditionError("gi_divmod: b must be nonzero, got 0")
     n = b.norm()
     t = a * b.conj()
     q = GaussianInt(_round_half_down(t.re, n), _round_half_down(t.im, n))
@@ -92,8 +92,7 @@ def gi_mod(a: GaussianInt, b: GaussianInt) -> GaussianInt:
 
 def gi_powmod(base: GaussianInt, exp: int, mod: GaussianInt) -> GaussianInt:
     """base^exp reduced mod `mod` at every step (exp >= 0)."""
-    if exp < 0:
-        raise PreconditionError("gi_powmod wants exp >= 0")
+    exp = _as_int(exp, "gi_powmod: exp", lo=0)
     result = gi_mod(GI_ONE, mod)
     acc = gi_mod(base, mod)
     while exp:
@@ -120,9 +119,9 @@ def is_primary(z: GaussianInt) -> bool:
 def make_primary(z: GaussianInt) -> tuple[int, GaussianInt]:
     """Return (k, w) with w = i^k * z primary, k in 0..3."""
     if z.is_zero() or z.is_unit():
-        raise PreconditionError(f"make_primary: {z} is zero or a unit")
+        raise PreconditionError(f"make_primary: z must be neither zero nor a unit, got {_show(z)}")
     if not z.is_odd():
-        raise PreconditionError(f"make_primary: {_show(z)} is even (norm divisible by 2)")
+        raise PreconditionError(f"make_primary: z must be odd (of odd norm), got {_show(z)}")
     w = z
     for k in range(4):
         if is_primary(w):
@@ -139,7 +138,7 @@ def gi_gcd(a: GaussianInt, b: GaussianInt) -> GaussianInt:
     come back as 1.
     """
     if a.is_zero() and b.is_zero():
-        raise PreconditionError("gi_gcd(0, 0) undefined")
+        raise PreconditionError("gi_gcd: a and b must not both be zero")
     while not b.is_zero():
         a, b = b, gi_divmod(a, b)[1]
     if a.is_unit():
@@ -165,18 +164,44 @@ class TwoSquares:
     def __post_init__(self):
         a, b = self.alpha, self.beta
         if not (a % 4 == 1 and b > 0 and b % 2 == 0 and a * a + b * b == self.p):
-            raise PreconditionError(f"{_show(self)} is not a normalized two-squares split")
+            raise PreconditionError(f"TwoSquares: alpha, beta must split p, got {_show(self)}")
+
+
+class _NotSplitPrime(PreconditionError):
+    """The rejection of the two-squares stack's primality gate, which _split_for renames."""
+
+
+def _split_gate(entry: str, p) -> int:
+    # p as an int, a prime ≡ 1 (mod 4) below 2^64, or rejected by entry's name
+    p = _as_int(p, f"{entry}: p", hi=_U64_MAX)
+    if p < 5 or p % 4 != 1 or not is_prime_u64(p):
+        raise _NotSplitPrime(f"{entry}: p must be a prime ≡ 1 (mod 4), got {_show(p)}")
+    return p
+
+
+def _split_for(entry: str, p: int, want: str = "a prime ≡ 1 (mod 4)") -> "TwoSquares":
+    """two_squares(p) for the entry point named entry, which has checked p to be
+    an int below 2^64: the primality gate's rejection names entry, and any
+    other PreconditionError keeps its own name."""
+    try:
+        return two_squares(p)
+    except _NotSplitPrime:
+        raise PreconditionError(f"{entry}: p must be {want}, got {_show(p)}") from None
 
 
 def sqrt_minus_one(p: int) -> int:
     """The smaller square root of -1 mod p, for prime p ≡ 1 (mod 4) below 2^64.
 
-    The one primality gate of the two-squares stack: two_squares and every
-    routine built on it reject a composite p here.
+    _split_gate is the one primality gate of the two-squares stack: two_squares
+    and every routine built on it reject a composite p there, under the
+    routine's own name.
     """
-    p = _as_int(p, "sqrt_minus_one: p", hi=_U64_MAX)
-    if p % 4 != 1 or not is_prime_u64(p):
-        raise PreconditionError(f"sqrt_minus_one wants a prime p ≡ 1 (mod 4), got {_show(p)}")
+    p = _split_gate("sqrt_minus_one", p)
+    return _sqrt_minus_one(p)
+
+
+def _sqrt_minus_one(p: int) -> int:
+    # sqrt_minus_one on a p that has passed _split_gate
     e = (p - 1) // 4
     g = 2
     while (z := pow(g, e, p)) * z % p != p - 1:
@@ -189,13 +214,13 @@ def two_squares(p: int) -> TwoSquares:
     """Normalized two-squares decomposition of a prime p ≡ 1 (mod 4).
 
     Cornacchia-style descent: run Euclid on (p, sqrt(-1) mod p); the first
-    remainder below sqrt(p) is the odd leg up to sign. A p >= 2^64 raises
-    PreconditionError here, any other p, a composite included, from
-    sqrt_minus_one. The cache is typed, so 13.0 never hits the entry of
-    np.int64(13) and is rejected like any other non-integer.
+    remainder below sqrt(p) is the odd leg up to sign. A p that is not a
+    prime ≡ 1 (mod 4) below 2^64 raises PreconditionError. The cache is
+    typed, so 13.0 never hits the entry of np.int64(13) and is rejected like
+    any other non-integer.
     """
-    p = _as_int(p, "two_squares: p", hi=_U64_MAX)
-    a, b = p, sqrt_minus_one(p)
+    p = _split_gate("two_squares", p)
+    a, b = p, _sqrt_minus_one(p)
     while b * b > p:
         a, b = b, a % b
     x = b
@@ -214,6 +239,7 @@ def primary_prime_above(p: int) -> GaussianInt:
     beta ≡ 0 (mod 4) gives alpha + beta*i itself, beta ≡ 2 (mod 4) flips the
     real part's sign to restore primarity while keeping im > 0.
     """
-    ts = two_squares(_as_int(p, "primary_prime_above: p", hi=_U64_MAX))
+    p = _as_int(p, "primary_prime_above: p", hi=_U64_MAX)
+    ts = _split_for("primary_prime_above", p)
     re = ts.alpha if ts.beta % 4 == 0 else -ts.alpha
     return GaussianInt(re, ts.beta)

@@ -41,13 +41,19 @@ class HLPoly:
         return (self.a * x + self.b) * x + self.c
 
 
-def _as_poly(f) -> HLPoly:
-    a, b, c = (f.a, f.b, f.c) if isinstance(f, HLPoly) else f
+def _as_poly(entry: str, f) -> HLPoly:
+    # f, an HLPoly or three integers (a, b, c), as an HLPoly of ints; rejected by entry's name
+    try:
+        a, b, c = (f.a, f.b, f.c) if isinstance(f, HLPoly) else f
+    except (TypeError, ValueError):
+        raise PreconditionError(
+            f"{entry}: f must be an HLPoly or three integers, got {_show(f, repr)}"
+        ) from None
     try:
         return HLPoly(operator.index(a), operator.index(b), operator.index(c))
     except TypeError:
         # only a failing coefficient pays for the message and its repr of f
-        what = f"coefficient of {_show(f, repr)}"
+        what = f"{entry}: f = {_show(f, repr)}: a coefficient"
         return HLPoly(_as_int(a, what), _as_int(b, what), _as_int(c, what))
 
 
@@ -58,7 +64,7 @@ def hl_admissible(f) -> bool:
     even), and an irreducible f, i.e. the discriminant is not a perfect
     square.
     """
-    return _admissible(_as_poly(f))
+    return _admissible(_as_poly("hl_admissible", f))
 
 
 def _admissible(f: HLPoly) -> bool:
@@ -105,14 +111,16 @@ def hl_delta(f, prime_bound: int = 1_000_000) -> float:
     256 values are remembered, keyed on the normalized (f, bound), so a
     tuple, a list or an HLPoly with the same coefficients share one entry.
     """
-    f = _as_poly(f)
+    f = _as_poly("hl_delta", f)
     prime_bound = _as_int(prime_bound, "hl_delta: prime_bound", 3, _SIEVE_MAX)
     if not _admissible(f):
-        raise PreconditionError(f"hl_delta: {_show(f)} is not admissible")
+        raise PreconditionError(f"hl_delta: f = {_show(f)} is not admissible")
     try:
         float(f.a)  # the product starts from 1/sqrt(a), taken in floats
     except OverflowError:
-        raise PreconditionError("hl_delta: a is past the largest float") from None
+        raise PreconditionError(
+            f"hl_delta: f has its a past the largest float, got {_show(f)}"
+        ) from None
     return _hl_delta(f, prime_bound)
 
 
@@ -137,10 +145,10 @@ def hl_count(f, n: int) -> int:
     only that, and rejects it first if it holds over 10^7 values, or if its
     largest value, f(lo) or f(hi) since f is convex, is 2^64 or more.
     """
-    f = _as_poly(f)
+    f = _as_poly("hl_count", f)
     n = _as_int(n, "hl_count: n", lo=0)
     if f.a <= 0:
-        raise PreconditionError(f"hl_count wants a > 0, got {_show(f)}")
+        raise PreconditionError(f"hl_count: f must have a > 0, got {_show(f)}")
     # f(x) <= n iff (2ax + b)^2 <= disc + 4an, i.e. |2ax + b| <= isqrt(disc + 4an)
     span = f.disc + 4 * f.a * n
     s = isqrt(max(span, 0))
@@ -149,11 +157,12 @@ def hl_count(f, n: int) -> int:
         return 0
     if max(f(lo), f(hi)) > _U64_MAX:
         raise PreconditionError(
-            f"hl_count: {_show(f)} has values <= n = {_show(n)} at or above 2^64; "
+            f"hl_count: n = {_show(n)} takes f = {_show(f)} to values at or above 2^64; "
             "primality is tested below 2^64 only"
         )
     if hi - lo + 1 > _HL_COUNT_MAX:
         raise PreconditionError(
-            f"hl_count: {_show(f)} needs {hi - lo + 1} values, over {_HL_COUNT_MAX}"
+            f"hl_count: n = {_show(n)} needs {_show(hi - lo + 1)} values of f = {_show(f)}, "
+            f"more than {_HL_COUNT_MAX}"
         )
     return len({v for v in map(f, range(lo, hi + 1)) if v >= 2 and is_prime_u64(v)})

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import isqrt, log, sqrt
 
-from .density import DensityPair, _lt_constant, density_formula
+from .density import DensityPair, _check_pair, _lt_constant, density_formula
 from .errors import PreconditionError, _as_int, _show
 from .frobenius import _ap_kernel_array
 from .primes import _SIEVE_MAX, _pow_mod_array, _unmarked, sieve_primes
@@ -69,7 +69,9 @@ def lt_predict(D: int, r: int, N: int, prime_bound: int = 1_000_000) -> float:
 
     N runs from 3 to the largest float, since sqrt(N) is taken in floats.
     """
+    D, r = _check_pair("lt_predict", D, r)
     N = _as_int(N, "lt_predict: N", 3, sys.float_info.max)
+    prime_bound = _as_int(prime_bound, "lt_predict: prime_bound", 3, _SIEVE_MAX)
     return _lt_constant(density_formula(D, r), r, prime_bound) * sqrt(N) / log(N)
 
 
@@ -165,10 +167,7 @@ def sweep(D: int, r: int, N: int) -> SweepReport:
     kernel: at N = 10^12 a warm sweep takes ~0.012 s against ~0.02 s
     with the legs sieved (2 vCPU), and elapsed_seconds times what ran.
     """
-    D = _as_int(D, "sweep: D")
-    r = _as_int(r, "sweep: r")
-    if D == 0 or r == 0:
-        raise PreconditionError("sweep wants nonzero D and r")
+    D, r = _check_pair("sweep", D, r)
     N = _as_int(N, "sweep: N", r * r + 1, _N_MAX)
     # numpy loads before the clock starts, so elapsed_seconds times the sweep alone
     import numpy  # noqa: F401
@@ -222,6 +221,10 @@ def report_emit(report: SweepReport, fmt: str = "json", path: str | None = None)
     significant digits at construction, fractions ride as strings, so
     report_from_dict(json.loads(...)) reproduces the report exactly.
     """
+    if not isinstance(report, SweepReport):
+        raise PreconditionError(
+            f"report_emit: report must be a SweepReport, got {_show(report, repr)}"
+        )
     if fmt == "json":
         text = json.dumps(report_to_dict(report), indent=2) + "\n"
     elif fmt == "csv":
@@ -232,11 +235,13 @@ def report_emit(report: SweepReport, fmt: str = "json", path: str | None = None)
         w.writerow(row)
         text = buf.getvalue()
     else:
-        raise PreconditionError(f"report_emit: unknown format {_show(fmt, repr)}")
+        raise PreconditionError(f"report_emit: fmt must be 'json' or 'csv', got {_show(fmt, repr)}")
     if path is not None:
         try:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise PreconditionError(f"cannot write report to {path}: {exc}") from exc
+            raise PreconditionError(
+                f"report_emit: path {_show(path, repr)} cannot be written: {exc}"
+            ) from exc
     return text

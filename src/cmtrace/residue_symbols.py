@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 
-from .errors import PreconditionError, _as_int, _show
-from .frobenius import ap_fast
-from .gaussian import GaussianInt, gi_mod, gi_powmod, is_primary, two_squares
+from .errors import PreconditionError, _as_int, _nonzero_int, _show
+from .frobenius import _ap_kernel, _check_good_reduction
+from .gaussian import GaussianInt, _split_for, gi_mod, gi_powmod, is_primary
 from .primes import _U64_MAX, is_prime_u64
 
 
@@ -73,25 +73,37 @@ def legendre(a: int, p: int) -> int:
     a = _as_int(a, "legendre: a")
     p = _as_int(p, "legendre: p", hi=_U64_MAX)
     if p < 3 or p % 2 == 0 or not is_prime_u64(p):
-        raise PreconditionError(f"legendre wants an odd prime modulus, got {_show(p)}")
+        raise PreconditionError(f"legendre: p must be an odd prime, got {_show(p)}")
     a %= p
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _check_primary_prime(pi: GaussianInt) -> int:
-    """Validate that pi is a primary Gaussian prime (so odd); return its norm."""
-    if not is_primary(pi):
-        raise PreconditionError(f"quartic_symbol: {_show(pi)} is not primary")
-    n = pi.norm()
-    if pi.im == 0:
-        q = abs(pi.re)
-        if not (q % 4 == 3 and is_prime_u64(q)):
-            raise PreconditionError(f"quartic_symbol: {_show(pi)} is not prime")
-    elif not is_prime_u64(n):
-        raise PreconditionError(f"quartic_symbol: {_show(pi)} is not prime")
-    return n
+def _check_symbol_args(entry: str, lam, pi) -> None:
+    """Reject, by entry's name, a lam or pi that is not a GaussianInt, a pi that
+    is not a primary Gaussian prime, and a lam that pi divides."""
+    for arg, z in (("lam", lam), ("pi", pi)):
+        if not isinstance(z, GaussianInt):
+            raise PreconditionError(f"{entry}: {arg} must be a GaussianInt, got {_show(z, repr)}")
+    _check_primary_prime(entry, "pi", pi)
+    # pi is prime, so lam shares a factor with it exactly when pi divides lam
+    if gi_mod(lam, pi).is_zero():
+        raise PreconditionError(
+            f"{entry}: lam = {_show(lam)} shares a factor with pi = {_show(pi)}"
+        )
+
+
+def _check_primary_prime(entry: str, arg: str, z: GaussianInt) -> None:
+    # a primary z is odd; it is prime exactly when q is: its norm, or |z| if z is real
+    if not is_primary(z):
+        raise PreconditionError(f"{entry}: {arg} must be primary, got {_show(z)}")
+    real = z.im == 0
+    q = abs(z.re) if real else z.norm()
+    if q > _U64_MAX:
+        raise PreconditionError(f"{entry}: {arg} must lie over a prime below 2^64, got {_show(z)}")
+    if (real and q % 4 != 3) or not is_prime_u64(q):
+        raise PreconditionError(f"{entry}: {arg} must be a Gaussian prime, got {_show(z)}")
 
 
 def quartic_symbol(lam: GaussianInt, pi: GaussianInt) -> QuarticValue:
@@ -101,14 +113,13 @@ def quartic_symbol(lam: GaussianInt, pi: GaussianInt) -> QuarticValue:
     to pi. Computed honestly in the quotient ring, one reduction per
     multiply, no shortcuts through F_p. Both arguments must be GaussianInt.
     """
-    if not (isinstance(lam, GaussianInt) and isinstance(pi, GaussianInt)):
-        raise PreconditionError(
-            f"quartic_symbol wants two GaussianInt, got {_show(lam, repr)}, {_show(pi, repr)}"
-        )
-    n = _check_primary_prime(pi)
-    # pi is prime, so lam shares a factor with it exactly when pi divides lam
-    if gi_mod(lam, pi).is_zero():
-        raise PreconditionError(f"quartic_symbol: {_show(lam)} shares a factor with {_show(pi)}")
+    _check_symbol_args("quartic_symbol", lam, pi)
+    return _quartic_symbol(lam, pi)
+
+
+def _quartic_symbol(lam: GaussianInt, pi: GaussianInt) -> QuarticValue:
+    # quartic_symbol on checked arguments
+    n = pi.norm()
     # w is a gi_mod remainder, which depends only on the class mod pi, and
     # with N(pi) >= 5 each unit is its own remainder: w is the unit itself
     w = gi_powmod(lam, (n - 1) // 4, pi)
@@ -121,12 +132,14 @@ def reciprocity_check(lam: GaussianInt, pi: GaussianInt) -> bool:
     """Check biquadratic reciprocity for a pair of distinct primary primes.
 
     (lam/pi) must equal (pi/lam) * (-1)^(((N(lam)-1)/4) * ((N(pi)-1)/4)).
-    Returns True when the identity holds. The two quartic_symbol calls
-    validate the arguments: the first checks pi and coprimality, the
-    second lam.
+    Returns True when the identity holds. Each argument is checked once,
+    by reciprocity_check's name: pi and coprimality as quartic_symbol
+    checks them, then lam as a primary prime.
     """
-    lhs = quartic_symbol(lam, pi)
-    rhs = quartic_symbol(pi, lam)
+    _check_symbol_args("reciprocity_check", lam, pi)
+    _check_primary_prime("reciprocity_check", "lam", lam)
+    lhs = _quartic_symbol(lam, pi)
+    rhs = _quartic_symbol(pi, lam)
     if ((lam.norm() - 1) // 4) * ((pi.norm() - 1) // 4) % 2 == 1:
         rhs = rhs * QuarticValue.MINUS_ONE
     return lhs == rhs
@@ -141,10 +154,16 @@ def quartic_class_of(D: int, p: int) -> FourClass:
     is the member of ±alpha, ±beta that the class names: the class of
     ap_fast's trace.
     """
-    p = _as_int(p, "quartic_class_of: p", hi=_U64_MAX)
-    if p % 4 != 1:
-        raise PreconditionError(f"quartic_class_of wants p ≡ 1 (mod 4), got {_show(p)}")
-    return _trace_class(ap_fast(D, p))
+    return _class_of("quartic_class_of", D, p)[0]
+
+
+def _class_of(entry: str, D, p) -> tuple[FourClass, int]:
+    # quartic_class_of, and beta of p, for the entry point named entry
+    D = _nonzero_int(D, f"{entry}: D")
+    p = _as_int(p, f"{entry}: p", hi=_U64_MAX)
+    ts = _split_for(entry, p)
+    _check_good_reduction(entry, D, p)
+    return _trace_class(_ap_kernel(D, ts.alpha, ts.beta)), ts.beta
 
 
 def two_quartic_class(p: int) -> FourClass:
@@ -154,7 +173,8 @@ def two_quartic_class(p: int) -> FourClass:
     (mod 8) hold identically, so the case split collapses to beta mod 8:
     0 -> +alpha, 4 -> -alpha, 2 -> +beta, 6 -> -beta. No exponentiation.
     """
-    b8 = two_squares(_as_int(p, "two_quartic_class: p", hi=_U64_MAX)).beta % 8
+    p = _as_int(p, "two_quartic_class: p", hi=_U64_MAX)
+    b8 = _split_for("two_quartic_class", p).beta % 8
     if b8 == 0:
         return FourClass.PLUS_ALPHA
     if b8 == 4:
@@ -185,4 +205,4 @@ def quartic_value_of(D: int, p: int) -> QuarticValue:
     Equals quartic_symbol(D, pi) for the primary prime pi over p with
     im(pi) > 0, but computed through the residue class machinery.
     """
-    return class_to_value(quartic_class_of(D, p), two_squares(p).beta)
+    return class_to_value(*_class_of("quartic_value_of", D, p))

@@ -20,18 +20,15 @@ from cmtrace.arith import (
 from cmtrace.density import _class_walk
 from cmtrace.errors import PreconditionError
 from oracles import trial_is_prime
+from test_contracts import legacy
 
 
 def test_factorize():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(-17) == {17: 1}
     assert factorize(1) == {}
-    with pytest.raises(PreconditionError):
-        factorize(0)
-    # one prime above the trial bound is fine; two are refused, not ground out
+    # one prime above the trial bound is fine; two are refused (see test_contracts)
     assert factorize(10**18 + 3) == {10**18 + 3: 1}
-    with pytest.raises(PreconditionError):
-        factorize((10**9 + 7) * (10**9 + 9))
 
 
 def test_tau_examples():
@@ -151,10 +148,7 @@ def test_shape_roundtrip():
         count += 1
 
 
-def test_shape_rejects_fourth_powers():
-    for D in (16, -16, 48, 81, 32 * 2):
-        with pytest.raises(PreconditionError):
-            shape_of(D)
+test_shape_rejects_fourth_powers = legacy("shape_of")  # an earlier id, run from the contract table
 
 
 def test_split_examples():
@@ -218,10 +212,8 @@ def test_progression_set_count():
 
 
 def test_progression_set_cap():
-    # |D| up to 10^5 is walked class by class; beyond it, an error before the walk
+    # |D| up to the cap, 10^5, is walked class by class; test_contracts rejects one past it
     assert len(progression_set(-(10**5), 1)) == 2 * tau(10**5)
-    with pytest.raises(PreconditionError):
-        progression_set(10**5 + 1, 1)
 
 
 @pytest.mark.parametrize("D, r", [(5, 1), (5, 2), (-21, 3), (-21, -2)])

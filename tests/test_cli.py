@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import cmtrace
 from cmtrace import cli
 from cmtrace.cli import build_parser, main
+from test_contracts import legacy
 
 SRC = str(Path(cmtrace.__file__).resolve().parent.parent)
 
@@ -36,20 +37,6 @@ def test_ap_single_method(capsys):
     code, out, _ = run(capsys, "ap", "--D", "-21", "--p", "5", "--method", "fast")
     assert code == 0
     assert "ap_fast" in out and "ap_naive" not in out and "match" not in out
-
-
-def test_ap_bad_prime_exits_2(capsys):
-    code, out, err = run(capsys, "ap", "--D", "1", "--p", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ")
-    # odd composites too, not just the bad-reduction case
-    code, out, err = run(capsys, "ap", "--D", "2", "--p", "15")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ")
-    # p = 0 is rejected before the bad-reduction check divides by it
-    code, out, err = run(capsys, "ap", "--D", "3", "--p", "0", "--method", "fast")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ")
 
 
 def test_density_both(capsys):
@@ -87,18 +74,6 @@ def test_density_formula_only(capsys):
     code, out, _ = run(capsys, "density", "--D", "5", "--r", "3", "--mode", "formula")
     assert code == 0
     assert "d_plus=0  d_minus=1/3" in out and "oracle" not in out
-
-
-def test_density_zero_D_exits_2(capsys):
-    code, _, err = run(capsys, "density", "--D", "0", "--r", "1")
-    assert code == 2 and "error:" in err
-
-
-def test_density_oracle_r_from_2_32_exits_2(capsys):
-    code, out, err = run(capsys, "density", "--D", "5", "--r", "4294967296", "--mode", "oracle")
-    assert code == 2 and out == ""
-    assert "density_oracle: r must be at most 4294967295, got 4294967296" in err, err
-    assert "is_prime_u64" not in err, err
 
 
 def test_sweep_stdout_json(capsys):
@@ -139,19 +114,6 @@ def test_hl_output(capsys):
     assert "ratio = " in out
 
 
-def test_hl_inadmissible_exits_2(capsys):
-    code, _, err = run(capsys, "hl", "--a", "1", "--b", "0", "--c", "-1")
-    assert code == 2 and "not admissible" in err
-
-
-def test_hl_bound_over_sieve_cap_exits_2(capsys):
-    # the full bound is checked first, so the bound/10 product never sieves to 10^9
-    code, out, err = run(capsys, "hl", "--a", "1", "--b", "0", "--c", "1",
-                         "--bound", "10000000000")
-    assert code == 2 and out == ""
-    assert err == "error: hl_delta: prime_bound must be at most 1000000000, got 10000000000\n"
-
-
 def test_hl_rejected_count_prints_nothing(capsys, monkeypatch):
     # the count comes first: past 2^64 it exits 2 before any Euler product
     calls = []
@@ -168,7 +130,7 @@ def test_hl_rejected_count_prints_nothing(capsys, monkeypatch):
     # sqrt(n) of the estimate is a float, so n stops at the largest float
     code, out, err = run(capsys, "hl", "--a", "1", "--b", str(10**400), "--c", "1",
                          "--count-to", str(10**399))
-    assert code == 2 and out == "" and err.startswith("error: --count-to must be at most ")
+    assert code == 2 and out == "" and err.startswith("error: hl: --count-to must be at most ")
 
 
 def test_density_rejected_oracle_prints_nothing(capsys):
@@ -191,29 +153,15 @@ def test_zero_scan(capsys):
     assert "vanishing pairs" in out
 
 
-def test_zero_scan_cap_exits_2(capsys):
-    # (2*500 + 1)^2 cells is just over 10^6; the grid is refused before its first row
-    for dmax, rmax in ((500, 500), (3, 10**20), (10**20, -1)):
-        code, out, err = run(capsys, "zero-scan", "--dmax", str(dmax), "--rmax", str(rmax))
-        assert code == 2 and out == "", (dmax, rmax)
-        assert "cells" in err
-
-
-# 4,001 digits: argparse reads it, and the grid's cell count or r^2 + 1 has
-# over 4,300, past Python's limit for printing an int
-_HUGE_ARG = str(10**4000)
-
-
-def test_zero_scan_huge_grid_exits_2(capsys):
-    code, out, err = run(capsys, "zero-scan", "--dmax", _HUGE_ARG, "--rmax", _HUGE_ARG)
-    assert code == 2 and out == ""
-    assert err.startswith("error: zero-scan grid has <int of ") and "cells" in err, err
-
-
-def test_sweep_huge_r_exits_2(capsys):
-    code, out, err = run(capsys, "sweep", "--D", "1", "--r", _HUGE_ARG, "--N", "5")
-    assert code == 2 and out == ""
-    assert err.startswith("error: sweep: N must be at least <int of "), err
+# the ids of earlier exit-2 tests, now run from the contract table
+test_ap_bad_prime_exits_2 = legacy("ap")
+test_density_zero_D_exits_2 = legacy("density")
+test_density_oracle_r_from_2_32_exits_2 = legacy("density")
+test_hl_inadmissible_exits_2 = legacy("hl")
+test_hl_bound_over_sieve_cap_exits_2 = legacy("hl")
+test_zero_scan_cap_exits_2 = legacy("zero-scan")
+test_zero_scan_huge_grid_exits_2 = legacy("zero-scan")
+test_sweep_huge_r_exits_2 = legacy("sweep")
 
 
 def test_selftest_passes(capsys):

@@ -24,7 +24,7 @@ from cmtrace.density import (
 from cmtrace.errors import NoRepresentativeFound, PreconditionError
 from cmtrace.gaussian import GaussianInt
 from cmtrace.primes import is_prime_u64
-from oracles import trial_is_prime
+from test_contracts import legacy
 from test_lab import _log_calls
 
 
@@ -82,6 +82,9 @@ def test_density_formula_pinned():
     for (D, r), (p, m) in PINNED.items():
         pair = density_formula(D, r)
         assert (pair.d_plus, pair.d_minus) == (F(p), F(m)), (D, r, pair)
+    # a prime D ≡ 3 (mod 4) above the trial bound still factors: (1/4)(1 - 1/D)
+    D = 10**18 + 3
+    assert density_formula(D, 1) == DensityPair(F(D - 1, 4 * D), F(D - 1, 4 * D))
 
 
 def test_density_formula_sign_swaps():
@@ -107,16 +110,10 @@ def test_density_formula_twist_invariance():
         assert density_formula(D * 81, r) == base
 
 
-def test_density_formula_rejects():
-    with pytest.raises(PreconditionError):
-        density_formula(0, 1)
-    with pytest.raises(PreconditionError):
-        density_formula(5, 0)
-    with pytest.raises(PreconditionError):
-        density_formula((10**9 + 7) * (10**9 + 9), 1)
-    # a prime D ≡ 3 (mod 4) above the trial bound still factors: (1/4)(1 - 1/D)
-    D = 10**18 + 3
-    assert density_formula(D, 1) == DensityPair(F(D - 1, 4 * D), F(D - 1, 4 * D))
+# the ids of earlier rejection tests, now run from the contract table
+test_density_formula_rejects = legacy("density_formula")
+test_lt_constant_rejects_bad_bound = legacy("lt_constant")
+test_oracles_reject_r_from_2_32 = legacy(ids=["density_oracle", "sigma_sums"])
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +163,7 @@ def test_oracle_class_counts_sum():
 
 
 @pytest.mark.parametrize("fn", [density_oracle, sigma_sums])
-def test_oracles_reject_r_from_2_32(fn):
-    # from |r| = 2^32 on, every r^2 + y^2 passes is_prime_u64's range; the
-    # error names the oracle, r and its bound, not the internal primality test
-    for r in (1 << 32, -(1 << 32), 10**30):
-        side = "most 4294967295" if r > 0 else "least -4294967295"
-        message = f"{fn.__name__}: r must be at {side}, got {r}$"
-        with pytest.raises(PreconditionError, match=message):
-            fn(5, r)
+def test_oracles_at_the_largest_r(fn):
     r = (1 << 32) - 1  # the largest |r| searched, with p just below 2^64
     if fn is density_oracle:
         assert fn(5, r)[0] == density_formula(5, r)
@@ -416,17 +406,6 @@ _LT_PINNED = {
 @pytest.mark.parametrize("D, r, bound", list(_LT_PINNED))
 def test_lt_constant_pinned(D, r, bound):
     assert lt_constant(D, r, bound) == _LT_PINNED[D, r, bound]
-
-
-def test_lt_constant_rejects_bad_bound():
-    # (1, 3) has +2r density 0, and its bound is checked all the same
-    for D, r in ((1, 1), (1, 3)):
-        for bound in (2, 1000.0, "1000"):
-            with pytest.raises(PreconditionError):
-                lt_constant(D, r, bound)
-        message = "hl_delta: prime_bound must be at most 1000000000, got 10{12}$"
-        with pytest.raises(PreconditionError, match=message):
-            lt_constant(D, r, 10**12)
 
 
 def test_lt_constant_zero_iff_density_zero():

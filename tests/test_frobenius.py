@@ -3,15 +3,12 @@ from itertools import product
 from math import isqrt
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmtrace.arith import reduce_quartic_twist
-from cmtrace.errors import PreconditionError
 from cmtrace.frobenius import (
     _BLOCK,
-    NAIVE_CAP,
     _chi_table,
     _ap_kernel,
     _ap_kernel_array,
@@ -23,6 +20,7 @@ from cmtrace.gaussian import two_squares
 from cmtrace.primes import is_prime_u64
 from cmtrace.residue_symbols import FourClass, quartic_class_of
 from oracles import brute_ap, trial_is_prime
+from test_contracts import legacy
 
 PRIMES_1K = [p for p in range(3, 1000) if trial_is_prime(p)]
 
@@ -58,39 +56,18 @@ def test_chi_table_vs_euler():
         assert chi.tolist() == want, p
 
 
-def test_ap_naive_rejects():
-    with pytest.raises(PreconditionError):
-        ap_naive(1, 2)
-    with pytest.raises(PreconditionError):
-        ap_naive(14, 7)  # bad reduction
-    with pytest.raises(PreconditionError):
-        ap_naive(1, NAIVE_CAP + 100)
-    with pytest.raises(PreconditionError):
-        ap_naive(0, 5)
-
-
-def test_ap_routes_reject_composite_p():
-    # 15 ≡ 3 (mod 4) must not slip through as "supersingular", and
-    # 3277 = 29*113 is a sum of two squares, so Cornacchia alone would
-    # happily hand ap_fast a bogus decomposition. All three routes gate
-    # on actual primality.
-    for n in (9, 15, 21, 3277, 1105):
-        with pytest.raises(PreconditionError):
-            ap_naive(2, n)
-        with pytest.raises(PreconditionError):
-            ap_fast(2, n)
-    for n in (9, 3277, 1105):
-        assert n % 4 == 1
-        with pytest.raises(PreconditionError):
-            ap_binomial_residue(n)
+# the ids of earlier rejection tests, now run from the contract table
+test_ap_naive_rejects = legacy("ap_naive")
+test_ap_routes_reject_composite_p = legacy("ap_naive", "ap_fast", "ap_binomial_residue")
+test_ap_fast_rejects = legacy("ap_fast", ids=[
+    "13-13", "2--3", "2-13.0", "2-15", "2-18446744073709551617", "2-1", "2-4", "2-85",
+])
 
 
 def test_ap_binomial_examples():
     assert ap_binomial_residue(5) == 2
     assert ap_binomial_residue(13) == -6
     assert ap_binomial_residue(17) == 2
-    with pytest.raises(PreconditionError):
-        ap_binomial_residue(7)
 
 
 def test_ap_binomial_is_twice_alpha():
@@ -104,15 +81,6 @@ def test_ap_fast_examples():
     assert ap_fast(2, 13) == 4
     assert ap_fast(-1, 5) == -2
     assert ap_fast(7, 11) == 0  # supersingular
-
-
-@pytest.mark.parametrize("D, p", [(2, n) for n in (85, 15, 1, 4, -3, 2**64 + 1, 13.0)] + [(13, 13)])
-def test_ap_fast_rejects(D, p):
-    # p ≡ 1 (mod 4) is tested by two_squares; its cache must not answer
-    # 13.0 with the 13 it holds
-    assert ap_fast(2, 13) == 4
-    with pytest.raises(PreconditionError):
-        ap_fast(D, p)
 
 
 def test_beta_sign_calibration():
@@ -261,8 +229,6 @@ def test_reduce_quartic_twist():
     assert reduce_quartic_twist(-21) == -21
     assert reduce_quartic_twist(16) == 1
     assert reduce_quartic_twist(-16) == -1
-    with pytest.raises(PreconditionError):
-        reduce_quartic_twist(0)
 
 
 def test_reduce_quartic_twist_random():

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from cmtrace import gaussian
 from cmtrace.errors import PreconditionError
+from cmtrace.frobenius import ap_fast
 from cmtrace.gaussian import (
     GI_ONE,
     GaussianInt,
@@ -15,7 +17,9 @@ from cmtrace.gaussian import (
     sqrt_minus_one,
     two_squares,
 )
+from cmtrace.residue_symbols import quartic_class_of
 from oracles import exhaustive_two_squares, trial_is_prime
+from test_contracts import legacy
 
 
 def test_mul_basics():
@@ -39,9 +43,9 @@ def test_divmod_examples():
     assert r == GaussianInt(0, 0) and q == GaussianInt(-3, -2)
 
 
-def test_divmod_by_zero():
-    with pytest.raises(PreconditionError):
-        gi_divmod(GaussianInt(1, 1), GaussianInt(0, 0))
+# the ids of earlier rejection tests, now run from the contract table
+test_divmod_by_zero = legacy("gi_divmod")
+test_make_primary_rejects = legacy("make_primary")
 
 
 def test_divmod_random():
@@ -96,13 +100,6 @@ def test_make_primary_examples():
     assert make_primary(GaussianInt(-1, 2))[1] == GaussianInt(-1, 2)
 
 
-def test_make_primary_rejects():
-    for z in (GaussianInt(1, 1), GaussianInt(2, 0), GaussianInt(0, 1),
-              GaussianInt(1, 0), GaussianInt(0, 0), GaussianInt(-1, 0)):
-        with pytest.raises(PreconditionError):
-            make_primary(z)
-
-
 def test_make_primary_random():
     """Exactly one associate of an odd nonunit is primary."""
     rng = random.Random(4242)
@@ -131,10 +128,6 @@ def test_sqrt_minus_one():
     for p in (5, 13, 17, 29, 101, 9973):
         z = sqrt_minus_one(p)
         assert 0 < z < p and (z * z + 1) % p == 0
-    with pytest.raises(PreconditionError):
-        sqrt_minus_one(7)
-    with pytest.raises(PreconditionError):
-        sqrt_minus_one(11)
 
 
 def test_two_squares_examples():
@@ -144,14 +137,6 @@ def test_two_squares_examples():
     assert (ts.alpha, ts.beta) == (-3, 2)
     ts = two_squares(17)
     assert (ts.alpha, ts.beta) == (1, 4)
-    with pytest.raises(PreconditionError):
-        two_squares(7)
-    with pytest.raises(PreconditionError):
-        two_squares(2)
-    # composite ≡ 1 (mod 4) where no g gives g^((n-1)/2) ≡ -1: rejected
-    # at once, not after a search up to sqrt(n)
-    with pytest.raises(PreconditionError):
-        two_squares(3 * (10**18 + 3))
 
 
 def test_two_squares_vs_exhaustive():
@@ -183,3 +168,17 @@ def test_powmod_matches_pow_in_fp():
         got = gi_powmod(GaussianInt(a, 0), e, GaussianInt(p, 0))
         want = pow(a, e, p)
         assert (got.re - want) % p == 0 and got.im % p == 0
+
+
+def test_broken_descent_is_not_blamed_on_p(monkeypatch):
+    # a descent that splits p wrongly fails TwoSquares' own guard, under its
+    # own name: only the primality gate's rejection is renamed for the caller
+    monkeypatch.setattr(gaussian, "_sqrt_minus_one", lambda p: 1)
+    gaussian.two_squares.cache_clear()
+    try:
+        for call in (lambda: two_squares(10009), lambda: ap_fast(2, 10009),
+                     lambda: quartic_class_of(2, 10009), lambda: primary_prime_above(10009)):
+            with pytest.raises(PreconditionError, match=r"^TwoSquares: alpha, beta must split p"):
+                call()
+    finally:
+        gaussian.two_squares.cache_clear()

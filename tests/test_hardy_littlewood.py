@@ -14,6 +14,7 @@ from cmtrace.hardy_littlewood import (
 )
 from cmtrace.primes import is_prime_u64
 from oracles import slow_hl_delta, slow_prime_count_quadratic
+from test_contracts import legacy
 from test_lab import _log_calls
 
 
@@ -113,23 +114,17 @@ def test_delta_memo():
     assert _hl_delta.cache_info().currsize == 1
 
 
-def test_delta_rejects():
-    with pytest.raises(PreconditionError):
-        hl_delta((1, 0, -1))
-    with pytest.raises(PreconditionError):
-        hl_delta((1, 0, 1), prime_bound=2)
-    for f, bound in (((1.5, 0, 1), 1000), ((1, 0, "1"), 1000), ((1, 0, 1), 1000.0)):
-        with pytest.raises(PreconditionError):
-            hl_delta(f, bound)
+# the ids of earlier rejection tests, now run from the contract table
+test_delta_rejects = legacy("hl_delta")
+test_delta_rejects_a_past_the_largest_float = legacy("hl_delta")
+test_delta_rejects_bound_over_sieve_cap = legacy("hl_delta")
+test_count_negative_n_rejects = legacy("hl_count")
 
 
-def test_delta_rejects_a_past_the_largest_float():
-    # exactly the a that float() cannot hold: from the midpoint between the
-    # largest float, 2^1024 - 2^971, and 2^1024 on, it rounds up and overflows
+def test_delta_at_the_largest_float():
+    # float() holds a up to the midpoint between the largest float, 2^1024 -
+    # 2^971, and 2^1024; the contract table rejects that midpoint
     edge = 2**1024 - 2**970
-    for f in ((10**400, 0, 1), (edge, 1, 1)):
-        with pytest.raises(PreconditionError, match="hl_delta: a is past the largest float"):
-            hl_delta(f, 1000)
     assert hl_delta((edge - 1, 0, 1), 3) == slow_hl_delta(edge - 1, 0, 1, 3)
 
 
@@ -142,15 +137,7 @@ def test_delta_formats_f_only_for_a_bad_coefficient():
     assert hl_delta(Opaque((1, 0, 49)), 1000) == hl_delta((1, 0, 49), 1000)
     with pytest.raises(PreconditionError) as err:
         hl_delta((1, 0, "1"), 1000)
-    assert str(err.value) == "coefficient of (1, 0, '1') must be an integer, got '1'"
-
-
-def test_delta_rejects_bound_over_sieve_cap():
-    # the cap is checked at entry, before the sieve that enforces it too
-    for bound in (10**9 + 1, 10**10):
-        message = f"hl_delta: prime_bound must be at most 1000000000, got {bound}$"
-        with pytest.raises(PreconditionError, match=message):
-            hl_delta((1, 0, 1), bound)
+    assert str(err.value) == "hl_delta: f = (1, 0, '1'): a coefficient must be an integer, got '1'"
 
 
 def test_count_examples():
@@ -171,19 +158,6 @@ def test_count_vs_slow_oracle():
                 coeffs,
                 n,
             )
-
-
-def test_count_negative_n_rejects():
-    with pytest.raises(PreconditionError):
-        hl_count((1, 0, 1), -1)
-    # a non-integer bound or coefficient is an error, not a count
-    for coeffs, n in (((1, 0, 1), 10.5), ((1, 0, 1.0), 10), ((1, 0, 1), "10")):
-        with pytest.raises(PreconditionError):
-            hl_count(coeffs, n)
-    # a <= 0: f(x) never leaves [0, n] for good, so the scan would not end
-    for coeffs in ((-1, 0, 5), (0, 0, 5), (0, -1, 7)):
-        with pytest.raises(PreconditionError):
-            hl_count(coeffs, 10)
 
 
 def test_count_scan_cap(monkeypatch):
@@ -225,7 +199,7 @@ def test_count_rejects_values_past_u64(monkeypatch):
     # the second f has its vertex at 10^6 + 1/4, so its largest value <= n is at
     # the low end, f(0) = n, and its last one f(2*10^6) = n - 2*10^6 is below 2^64
     for f, n in (((10**12, 1, 1), 10**21), ((2, -(4 * 10**6 + 1), 2**64 + 7), 2**64 + 7)):
-        with pytest.raises(PreconditionError, match="hl_count"):
+        with pytest.raises(PreconditionError, match=r"^hl_count: n = \d+ takes f = HLPoly"):
             hl_count(f, n)
     assert log == []
     # every value <= n is below 2^64, though n and f's coefficients are not

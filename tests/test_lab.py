@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -24,10 +23,8 @@ from cmtrace.density import (
     sigma_sums,
 )
 from cmtrace.errors import PreconditionError
-from cmtrace.frobenius import _ap_kernel, ap_binomial_residue, ap_fast, ap_naive
-from cmtrace.hardy_littlewood import hl_count
+from cmtrace.frobenius import _ap_kernel, ap_fast
 from cmtrace.lab import (
-    SweepReport,
     lt_predict,
     report_emit,
     report_from_dict,
@@ -43,6 +40,7 @@ from cmtrace.primes import (
     sieve_primes,
 )
 from oracles import brute_ap, primes_up_to, trial_is_prime
+from test_contracts import legacy
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +88,6 @@ def test_is_prime_u64_three_base_bound():
     assert not is_prime_u64(B - 1) and not is_prime_u64(B + 1)
     for n in range(B - 300, B + 300):
         assert is_prime_u64(n) == trial_is_prime(n), n
-
-
-def test_is_prime_u64_rejects():
-    with pytest.raises(PreconditionError):
-        is_prime_u64(-1)
-    with pytest.raises(PreconditionError):
-        is_prime_u64(1 << 64)
 
 
 # ---------------------------------------------------------------------------
@@ -396,23 +387,6 @@ def test_sweep_excludes_bad_reduction():
     assert rep5.n_primes == rep3.n_primes - 1
 
 
-def test_sweep_rejects():
-    with pytest.raises(PreconditionError):
-        sweep(0, 1, 100)
-    with pytest.raises(PreconditionError):
-        sweep(1, 0, 100)
-    with pytest.raises(PreconditionError):
-        sweep(1, 5, 25)  # N below r^2 + 1
-    with pytest.raises(PreconditionError):
-        sweep(1, 1, 1 << 65)
-    # the sieve needs every prime <= isqrt(N), and sieve_primes stops at 10^9
-    with pytest.raises(PreconditionError):
-        sweep(1, 1, 10**18 + 1)
-    for bad in ((1, 1.0, 100), (1, 1, 100.5), (1, "1", 100)):
-        with pytest.raises(PreconditionError):
-            sweep(*bad)
-
-
 # ---------------------------------------------------------------------------
 # the sieve against the per-candidate scan it replaced
 
@@ -554,14 +528,6 @@ def test_lt_predict_identity():
     assert v == c * sqrt(10**6) / log(10**6)
 
 
-def test_lt_predict_rejects():
-    with pytest.raises(PreconditionError):
-        lt_predict(1, 1, 2)
-    message = "hl_delta: prime_bound must be at most 1000000000, got 10{12}$"
-    with pytest.raises(PreconditionError, match=message):
-        lt_predict(-21, 1, 10**6, prime_bound=10**12)
-
-
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -585,14 +551,6 @@ def test_report_csv_header():
     assert len(lines) == 2
     row = lines[1].split(",")
     assert row[0] == "2" and row[3] == "5"  # D and n_primes
-
-
-def test_report_emit_rejects():
-    rep = sweep(1, 1, 100)
-    with pytest.raises(PreconditionError):
-        report_emit(rep, "xml")
-    with pytest.raises(PreconditionError):
-        report_emit(rep, "json", "/nonexistent-dir/report.json")
 
 
 def test_report_fields_are_rounded():
@@ -725,197 +683,50 @@ def test_each_trace_route_tests_p_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# a non-integer D is an error, not the trace of int(D)
+# the ids of earlier rejection tests, now run from the contract table
 
-_D_ROUTES = {
-    "ap_naive": lambda D: ap_naive(D, 13),
-    "ap_fast": lambda D: ap_fast(D, 13),
-    "density_formula": lambda D: density_formula(D, 1),
-    "density_oracle": lambda D: density_oracle(D, 1),
-    "is_zero_pair": lambda D: is_zero_pair(D, 1),
-    # the report without its wall time, which differs from run to run
-    "sweep": lambda D: dataclasses.replace(sweep(D, 1, 10**4), elapsed_seconds=0.0),
-}
-
-
-@pytest.mark.parametrize("D", [2.5, "2"])
-@pytest.mark.parametrize("route", list(_D_ROUTES))
-def test_non_integer_D_rejected(route, D):
-    with pytest.raises(PreconditionError):
-        _D_ROUTES[route](D)
-
-
-# r, N and p that are not integers, and a p below 3, each where it enters
-_BAD_ARGUMENT_CALLS = {
-    "density_formula r=1.5": lambda: density_formula(3, 1.5),
-    "density_formula r='1'": lambda: density_formula(3, "1"),
-    "lt_constant r=1.5": lambda: lt_constant(3, 1.5),
-    "is_zero_pair r=2.0": lambda: is_zero_pair(3, 2.0),
-    "density_oracle r=1.0": lambda: density_oracle(3, 1.0),
-    "progression_set r=1.5": lambda: arith.progression_set(3, 1.5),
-    "split_d r=1.5": lambda: arith.split_d(3, 1.5),
-    "lt_predict N=10.5": lambda: lt_predict(3, 1, 10.5),
-    "lt_predict bound=2, zero density": lambda: lt_predict(1, 3, 100, prime_bound=2),
-    "ap_fast p=0": lambda: ap_fast(3, 0),
-    "ap_fast p='13'": lambda: ap_fast(3, "13"),
-    "density_oracle x_max=1.5": lambda: density_oracle(-21, 1, x_max=1.5),
-    "sigma_sums x_max=1.5": lambda: sigma_sums(-21, 1, x_max=1.5),
-    "sieve_primes bound=10.5": lambda: sieve_primes(10.5),
-    # past progression_set's cap (|D| <= 10^5) and hl_count's (10^7 values);
-    # without the caps each would walk 10^9 or more values one at a time
-    "progression_set D=10^12": lambda: arith.progression_set(10**12, 1),
-    "density_oracle D=10^9+7": lambda: density_oracle(10**9 + 7, 1),
-    "sigma_sums D=10^9+7": lambda: sigma_sums(10**9 + 7, 1),
-    "progression_set D=1.5": lambda: arith.progression_set(1.5, 1),
-    "progression_set D='7'": lambda: arith.progression_set("7", 1),
-    "hl_count n=10^40": lambda: hl_count((1, 0, 1), 10**40),
-    "hl_count 6.3*10^7 values around the vertex": (
-        lambda: hl_count((1, -2 * 10**9, 10**18 + 1), 10**15)
-    ),
-    "quartic_class_of p='13'": lambda: residue_symbols.quartic_class_of(-21, "13"),
-    "quartic_value_of p='13'": lambda: residue_symbols.quartic_value_of(-21, "13"),
-    "lt_predict N=2^1024": lambda: lt_predict(-21, 1, 2**1024),
-}
-
-
-@pytest.mark.parametrize("call", list(_BAD_ARGUMENT_CALLS))
-def test_bad_argument_rejected(call):
-    with pytest.raises(PreconditionError):
-        _BAD_ARGUMENT_CALLS[call]()
-
-
-# a zero where the argument must be nonzero, and each remaining cap or sign
-# rule: the call, and the message of the guard it must reach
-_GI = gaussian.GaussianInt
-_GUARD_CALLS = {
-    "tau(0)": (lambda: arith.tau(0), r"tau\(0\)"),
-    "euler_phi(0)": (lambda: arith.euler_phi(0), r"euler_phi\(0\)"),
-    "rad_odd(0)": (lambda: arith.rad_odd(0), r"rad_odd\(0\)"),
-    "shape_of(0)": (lambda: arith.shape_of(0), r"shape_of\(0\)"),
-    "split_d D=0": (lambda: arith.split_d(0, 1), "split_d wants nonzero D and r"),
-    "split_d r=0": (lambda: arith.split_d(3, 0), "split_d wants nonzero D and r"),
-    "progression_set(0, 1)": (
-        lambda: arith.progression_set(0, 1), "progression_set wants nonzero D and r"
-    ),
-    "density_oracle(0, 1)": (lambda: density_oracle(0, 1), "density_oracle wants nonzero D"),
-    "ap_binomial_residue p=10000121 > 10^7": (
-        lambda: ap_binomial_residue(10_000_121),
-        "ap_binomial_residue: p must be at most 10000000, got 10000121",
-    ),
-    "gi_powmod exp=-1": (
-        lambda: gaussian.gi_powmod(_GI(2, 0), -1, _GI(3, 2)), "gi_powmod wants exp >= 0"
-    ),
-    "gi_gcd(0, 0)": (lambda: gaussian.gi_gcd(_GI(0, 0), _GI(0, 0)), r"gi_gcd\(0, 0\)"),
-    "sieve_primes(10^9 + 1)": (
-        lambda: sieve_primes(10**9 + 1),
-        "sieve_primes: bound must be at most 1000000000, got 1000000001",
-    ),
-}
-
-
-@pytest.mark.parametrize("call", list(_GUARD_CALLS))
-def test_guard_raises_before_work(call):
-    # each raises at entry: under 64 kB allocated, where sieve_primes(10^9 + 1) would need 0.5 GB
-    fn, message = _GUARD_CALLS[call]
-    tracemalloc.start()
-    try:
-        with pytest.raises(PreconditionError, match=message):
-            fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**16, peak
-
-
-# a value of 5,000 or more digits, past Python's limit for printing an int
-# (4,300 digits), at every entry point that names its arguments in a message
-_HUGE = 10**5000
-_HUGE_CALLS = {
-    "is_prime_u64": lambda: is_prime_u64(_HUGE),
-    "sieve_primes": lambda: sieve_primes(_HUGE),
-    "factorize": lambda: arith.factorize(_HUGE + 1),
-    "shape_of": lambda: arith.shape_of(2**20000),
-    "split_d": lambda: arith.split_d(_HUGE + 1, 1),
-    "progression_set": lambda: arith.progression_set(-_HUGE, 1),
-    "two_squares": lambda: gaussian.two_squares(_HUGE + 1),
-    "sqrt_minus_one": lambda: gaussian.sqrt_minus_one(_HUGE),
-    "legendre": lambda: residue_symbols.legendre(1, _HUGE),
-    "quartic_class_of": lambda: residue_symbols.quartic_class_of(3, _HUGE),
-    "ap_naive": lambda: ap_naive(3, -_HUGE),
-    "ap_fast": lambda: ap_fast(5 * _HUGE, 5),
-    "density_formula": lambda: density_formula(_HUGE + 1, 1),
-    "is_zero_pair": lambda: is_zero_pair(_HUGE + 1, 1),
-    "density_oracle": lambda: density_oracle(3 * 2**20000, 1, x_max=0),
-    "hl_delta": lambda: cmtrace.hl_delta((2 * _HUGE, 0, 2)),
-    "hl_count": lambda: hl_count((1, 0, 1), -_HUGE),
-    "lt_predict": lambda: lt_predict(1, 1, _HUGE),
-    "sweep": lambda: sweep(1, _HUGE, 5),
-}
-
-
-@pytest.mark.parametrize("call", list(_HUGE_CALLS))
-def test_huge_value_rejected_by_its_message(call):
-    # the message shows the value by its bit length, so the rejection itself
-    # cannot fail; factorize's trial division to 10^6 takes ~1.5 s of the 5
-    t0 = time.perf_counter()
-    with pytest.raises(PreconditionError, match=r"<(negative )?int of \d+ bits>|too large to print"):
-        _HUGE_CALLS[call]()
-    assert time.perf_counter() - t0 < 5
-
-
-# every entry of the two-squares stack and legendre: a p past 2^64 is
-# rejected by the entry's own name, before is_prime_u64 would see it
-_U64_ROUTES = {
-    "ap_fast": lambda p: ap_fast(3, p),
-    "two_squares": gaussian.two_squares,
-    "sqrt_minus_one": gaussian.sqrt_minus_one,
-    "primary_prime_above": gaussian.primary_prime_above,
-    "legendre": lambda p: residue_symbols.legendre(3, p),
-    "quartic_class_of": lambda p: residue_symbols.quartic_class_of(3, p),
-    "two_quartic_class": residue_symbols.two_quartic_class,
-}
-
-
-@pytest.mark.parametrize("p", [2**64 + 13, _HUGE + 1], ids=["2^64+13", "5001 digits"])
-@pytest.mark.parametrize("route", list(_U64_ROUTES))
-def test_p_past_u64_rejected_by_its_entry(route, p):
-    with pytest.raises(PreconditionError, match=rf"^{route}: p must be at most {2**64 - 1}, got "):
-        _U64_ROUTES[route](p)
-
-
-# every entry that takes a prime p alone, or p next to D
-_P_ROUTES = {
-    "is_prime_u64": is_prime_u64,
-    "sqrt_minus_one": gaussian.sqrt_minus_one,
-    "two_squares": gaussian.two_squares,
-    "primary_prime_above": gaussian.primary_prime_above,
-    "two_quartic_class": residue_symbols.two_quartic_class,
-    "ap_naive": lambda p: ap_naive(3, p),
-    "ap_binomial_residue": ap_binomial_residue,
-}
-
-
-@pytest.mark.parametrize("p", [np.int64(13), np.uint64(13), 13.0, "13"], ids=repr)
-@pytest.mark.parametrize("route", list(_P_ROUTES))
-def test_prime_argument_types(route, p):
-    # a numpy integer p gives the int result, ints inside; anything else is rejected
-    fn = _P_ROUTES[route]
-    if isinstance(p, np.integer):
-        assert repr(fn(p)) == repr(fn(13))
-    else:
-        with pytest.raises(PreconditionError):
-            fn(p)
-
-
-def test_numpy_integer_D_accepted():
-    for route in ("ap_naive", "ap_fast", "density_formula", "sweep"):
-        assert _D_ROUTES[route](np.int64(2)) == _D_ROUTES[route](2), route
-    rep = sweep(np.int64(-21), np.int64(2), np.int64(10**5))
-    assert type(rep.D) is type(rep.r) is type(rep.N) is int
-    assert density_oracle(-21, np.int64(2)) == density_oracle(-21, 2)
-    assert sigma_sums(-21, np.int64(1)) == sigma_sums(-21, 1)
-    # a numpy r whose square passes 2^63
-    assert lt_constant(-21, np.int64(10**10), 1000) == lt_constant(-21, 10**10, 1000)
+_P_ROUTES = ("is_prime_u64", "sqrt_minus_one", "two_squares", "primary_prime_above",
+             "two_quartic_class", "ap_naive", "ap_binomial_residue")
+_U64_ROUTES = ("ap_fast", "two_squares", "sqrt_minus_one", "primary_prime_above", "legendre",
+               "quartic_class_of", "two_quartic_class")
+test_is_prime_u64_rejects = legacy("is_prime_u64")
+test_sweep_rejects = legacy("sweep")
+test_lt_predict_rejects = legacy("lt_predict")
+test_report_emit_rejects = legacy("report_emit")
+test_numpy_integer_D_accepted = legacy(
+    "ap_naive", "ap_fast", "density_formula", "sweep", "density_oracle", "sigma_sums", "lt_constant"
+)
+test_non_integer_D_rejected = legacy(ids=[
+    f"{e}-{D}" for D in ("2.5", "2")
+    for e in ("ap_naive", "ap_fast", "density_formula", "density_oracle", "is_zero_pair", "sweep")
+])
+test_bad_argument_rejected = legacy(ids=[
+    "ap_fast p='13'", "ap_fast p=0", "density_formula r='1'", "density_formula r=1.5",
+    "density_oracle D=10^9+7", "density_oracle r=1.0", "density_oracle x_max=1.5",
+    "hl_count 6.3*10^7 values around the vertex", "hl_count n=10^40", "is_zero_pair r=2.0",
+    "lt_constant r=1.5", "lt_predict N=10.5", "lt_predict N=2^1024",
+    "lt_predict bound=2, zero density", "progression_set D='7'", "progression_set D=1.5",
+    "progression_set D=10^12", "progression_set r=1.5", "quartic_class_of p='13'",
+    "quartic_value_of p='13'", "sieve_primes bound=10.5", "sigma_sums D=10^9+7",
+    "sigma_sums x_max=1.5", "split_d r=1.5",
+])
+test_guard_raises_before_work = legacy(ids=[
+    "ap_binomial_residue p=10000121 > 10^7", "density_oracle(0, 1)", "euler_phi(0)",
+    "gi_gcd(0, 0)", "gi_powmod exp=-1", "progression_set(0, 1)", "rad_odd(0)", "shape_of(0)",
+    "sieve_primes(10^9 + 1)", "split_d D=0", "split_d r=0", "tau(0)",
+])
+test_huge_value_rejected_by_its_message = legacy(ids=[
+    "ap_fast", "ap_naive", "density_formula", "density_oracle", "factorize", "hl_count",
+    "hl_delta", "is_prime_u64", "is_zero_pair", "legendre", "lt_predict", "progression_set",
+    "quartic_class_of", "shape_of", "sieve_primes", "split_d", "sqrt_minus_one", "sweep",
+    "two_squares",
+])
+test_p_past_u64_rejected_by_its_entry = legacy(ids=[
+    f"{e}-{p}" for p in ("2^64+13", "5001 digits") for e in _U64_ROUTES
+])
+test_prime_argument_types = legacy(ids=[
+    f"{e}-{p}" for p in ("np.int64(13)", "np.uint64(13)", "13.0", "'13'") for e in _P_ROUTES
+])
 
 
 def test_cm_threads_is_one():

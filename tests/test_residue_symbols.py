@@ -2,27 +2,21 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cmtrace
-from cmtrace.density import DensityPair
 from cmtrace.errors import PreconditionError
 from cmtrace.frobenius import ap_naive
 from cmtrace.gaussian import (
     GaussianInt,
-    TwoSquares,
     gi_gcd,
     gi_mod,
     gi_powmod,
     is_primary,
     primary_prime_above,
-    sqrt_minus_one,
-    two_squares,
 )
 from cmtrace.residue_symbols import (
     FourClass,
@@ -37,6 +31,7 @@ from cmtrace.residue_symbols import (
     two_quartic_class,
 )
 from oracles import trial_is_prime
+from test_contracts import legacy
 
 
 def test_legendre_examples():
@@ -44,19 +39,6 @@ def test_legendre_examples():
     assert legendre(2, 5) == -1
     assert legendre(0, 11) == 0
     assert legendre(22, 11) == 0
-    with pytest.raises(PreconditionError):
-        legendre(3, 4)
-    with pytest.raises(PreconditionError):
-        legendre(3, 2)
-    # a^((n-1)/2) ≡ 1 (mod n) for the Carmichael numbers 561 and 1729 at
-    # these bases; the modulus must itself be prime, and below 2^64
-    for a, n in ((2, 561), (2, 1729), (3, 1729), (2, 2**64 + 13)):
-        with pytest.raises(PreconditionError):
-            legendre(a, n)
-    # a non-integer argument is an error, not a TypeError
-    for a, n in ((2.5, 13), (2, 13.0), ("2", 13)):
-        with pytest.raises(PreconditionError):
-            legendre(a, n)
 
 
 def test_legendre_vs_euler():
@@ -89,36 +71,15 @@ def test_quartic_symbol_examples():
     assert quartic_symbol(GaussianInt(2, 0), GaussianInt(-7, 0)) == QuarticValue.ONE
 
 
-def test_quartic_symbol_rejects_bad_modulus():
-    two = GaussianInt(2, 0)
-    # associates of genuine primes that are not in primary form
-    for bad in (GaussianInt(-3, 2), GaussianInt(-3, -2), GaussianInt(2, 3)):
-        with pytest.raises(PreconditionError):
-            quartic_symbol(two, bad)
-    # primary form but composite norm
-    for bad in (GaussianInt(1, 8), GaussianInt(-9, 2), GaussianInt(-15, 0)):
-        with pytest.raises(PreconditionError):
-            quartic_symbol(two, bad)
-    # real 5 is primary-shaped but splits, so it is not a Gaussian prime
-    with pytest.raises(PreconditionError):
-        quartic_symbol(two, GaussianInt(5, 0))
-    # the ramified prime over 2 is excluded outright
-    with pytest.raises(PreconditionError):
-        quartic_symbol(GaussianInt(3, 0), GaussianInt(1, 1))
-    # shared factor: pi itself, 0 and multiples of pi by a unit, by 1+i and by pi
-    pi = GaussianInt(3, 2)
-    for lam in (pi, GaussianInt(0, 0), GaussianInt(0, 1) * pi, GaussianInt(1, 1) * pi, pi * pi):
-        with pytest.raises(PreconditionError, match="shares a factor"):
-            quartic_symbol(lam, pi)
-
-
-@pytest.mark.parametrize("fn", [quartic_symbol, reciprocity_check])
-def test_quartic_symbol_wants_gaussian_ints(fn):
-    # an int or a tuple in either place is a rejected input, not a TypeError
-    pi, lam7 = GaussianInt(3, 2), GaussianInt(-7, 0)
-    for lam, mod in ((3, pi), ((3, 0), pi), (lam7, (3, 2)), (lam7, 13)):
-        with pytest.raises(PreconditionError, match="quartic_symbol wants two GaussianInt"):
-            fn(lam, mod)
+# the ids of earlier rejection tests, now run from the contract table
+test_quartic_symbol_rejects_bad_modulus = legacy("quartic_symbol")
+test_quartic_symbol_wants_gaussian_ints = legacy(ids=["quartic_symbol", "reciprocity_check"])
+test_reciprocity_check_rejects = legacy("reciprocity_check", ids=["bad0", "bad1", "bad2", "bad3"])
+test_result_guards_raise = legacy("TwoSquares", "DensityPair", "quartic_class_of", "two_squares")
+test_two_squares_stack_rejects_composites = legacy(
+    "two_squares", "sqrt_minus_one", "two_quartic_class", "primary_prime_above",
+    "quartic_class_of", "quartic_value_of", ids=["85", "325", "1649", "18721", str(2**64 + 1)],
+)
 
 
 def test_quartic_symbol_coprimality_vs_gcd():
@@ -198,52 +159,10 @@ def test_reciprocity_random():
         done += 1
 
 
-@pytest.mark.parametrize("bad", [
-    GaussianInt(-1, 4),  # a prime of norm 17, but ≡ (3, 0) mod 4, so not primary
-    GaussianInt(-7, 4),  # primary, norm 65 = 5 * 13
-    GaussianInt(1, 4),  # the other argument itself, so a shared factor
-    GaussianInt(1, 1),  # 1+i, the prime over 2
-])
-def test_reciprocity_check_rejects(bad):
-    # validated by quartic_symbol: the first call checks pi and
-    # coprimality, the second lam
-    good = GaussianInt(1, 4)
-    with pytest.raises(PreconditionError):
-        reciprocity_check(bad, good)
-    with pytest.raises(PreconditionError):
-        reciprocity_check(good, bad)
-
-
 def test_quartic_class_examples():
     assert quartic_class_of(1, 13) == FourClass.PLUS_ALPHA
     assert quartic_class_of(2, 17) == FourClass.MINUS_ALPHA
     assert quartic_class_of(2, 13) == FourClass.PLUS_BETA
-    with pytest.raises(PreconditionError):
-        quartic_class_of(2, 7)
-    with pytest.raises(PreconditionError):
-        quartic_class_of(13, 13)
-    with pytest.raises(PreconditionError):
-        quartic_class_of(0, 13)
-    with pytest.raises(PreconditionError):
-        quartic_class_of(2.5, 13)
-
-
-# composites ≡ 1 (mod 4) that are sums of two squares: 5*17, 5^2*13,
-# 17*97 and 97*193, each of which slipped past at least one of the ad-hoc
-# checks the two-squares stack used before it gated on primality; and
-# 2^64 + 1, past the u64 range of the primality test.
-@pytest.mark.parametrize("n", [85, 325, 1649, 18721, 2**64 + 1])
-def test_two_squares_stack_rejects_composites(n):
-    for call in (
-        lambda: two_squares(n),
-        lambda: sqrt_minus_one(n),
-        lambda: two_quartic_class(n),
-        lambda: primary_prime_above(n),
-        lambda: quartic_class_of(3, n),
-        lambda: quartic_value_of(3, n),
-    ):
-        with pytest.raises(PreconditionError):
-            call()
 
 
 PRIMES_1_MOD_4 = [p for p in range(5, 10_001, 4) if trial_is_prime(p)]
@@ -255,26 +174,6 @@ def test_quartic_class_is_class_of_point_count(p, D):
     # the class is read off the trace, so it must name the point count's trace
     assume(D % p != 0)
     assert quartic_class_of(D, p) == _trace_class(ap_naive(D, p))
-
-
-# result guards: each call below must raise, with or without python -O
-_GUARDED = (
-    "TwoSquares(13, 3, 2)",
-    "DensityPair(Fraction(3), Fraction(-1))",
-    "quartic_class_of(2, 85)",  # 85 = 5 * 17
-    "two_squares(85)",
-    "legendre(2, 15)",
-    "legendre(2, 561)",  # 561 = 3 * 11 * 17, a Carmichael number
-)
-
-
-def test_result_guards_raise():
-    with pytest.raises(PreconditionError):
-        TwoSquares(13, 3, 2)
-    with pytest.raises(PreconditionError):
-        DensityPair(Fraction(3), Fraction(-1))
-    with pytest.raises(PreconditionError):
-        quartic_class_of(2, 85)
 
 
 # internal guards: with the helper each one checks broken, each call below
@@ -292,18 +191,10 @@ _BROKEN = (
 
 def test_result_guards_survive_python_O():
     script = "\n".join([
-        "from fractions import Fraction",
         "from unittest import mock",
         "import numpy as np",
-        "from cmtrace import DensityPair, PreconditionError, TwoSquares, quartic_class_of, two_squares",
         "from cmtrace import frobenius, gaussian, residue_symbols",
         "from cmtrace.gaussian import GaussianInt",
-        "from cmtrace.residue_symbols import legendre",
-        "for call in " + repr(_GUARDED) + ":",
-        "    try:",
-        "        print(call, 'returned', eval(call))",
-        "    except PreconditionError:",
-        "        print(call, 'raised')",
         "for mod, attr, fake, call in " + repr(_BROKEN) + ":",
         "    with mock.patch.object(eval(mod), attr, eval(fake), create=True):",
         "        try:",
@@ -317,8 +208,7 @@ def test_result_guards_survive_python_O():
         capture_output=True, text=True, timeout=60, check=True,
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
-    calls = list(_GUARDED) + [case[-1] for case in _BROKEN]
-    assert out.splitlines() == [f"{call} raised" for call in calls]
+    assert out.splitlines() == [f"{case[-1]} raised" for case in _BROKEN]
 
 
 def test_two_quartic_class_examples():
