@@ -234,8 +234,13 @@ def density_formula(D: int, r: int) -> DensityPair:
     first; both inputs must be nonzero, and D must pass factorize (at most
     one prime factor above 10^6, and that one below 2^64).
     """
-    _, pair, swap = _closed_form(*_check_pair("density_formula", D, r))
-    return pair.swapped() if swap else pair
+    return _formula(*_check_pair("density_formula", D, r))[1]
+
+
+def _formula(D: int, r: int) -> tuple[DSplit, DensityPair]:
+    """density_formula on checked D and r, with the split of D it was read from."""
+    split, pair, swap = _closed_form(D, r)
+    return split, pair.swapped() if swap else pair
 
 
 # ---------------------------------------------------------------------------

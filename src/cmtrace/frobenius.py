@@ -44,7 +44,9 @@ def _check_good_reduction(entry: str, D: int, p: int) -> None:
 def _chi_table(p: int) -> np.ndarray:
     """chi[v] = quadratic character of v mod p, as int8. Read-only, cached.
 
-    The squares of 1..(p-1)/2 are every nonzero square mod p.
+    The squares of 1..(p-1)/2 are every nonzero square mod p. ap_naive
+    reads the table of its p, and the sweep's Legendre prefilter the table
+    of each odd prime of odd exponent in D.
     """
     import numpy as np
     chi = np.full(p, -1, dtype=np.int8)
@@ -150,19 +152,25 @@ def _ap_kernel(D: int, x: int, y: int) -> int:
     return 2 * (t - p if t > p // 2 else t)
 
 
-def _ap_kernel_array(D: int, r: int, y: np.ndarray) -> np.ndarray:
-    """_ap_kernel elementwise: a_p on an int64 array of legs y of p = r^2 + y^2.
+def _ap_kernel_array(D: int, r: int, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """_ap_kernel elementwise: a_p on int64 arrays of legs y and primes p = r^2 + y^2.
 
     r is one int, the first leg of every p, of parity opposite to each y;
-    so alpha is ±r for odd r and ±y for even r. Same rule and
-    preconditions as the scalar kernel, p <= 10^18; a p dividing D gets 0,
-    as it does there, which no good prime ≡ 1 (mod 4) has. D is reduced
-    mod p once, by limbs, so any integer D works, numpy ints included, and
-    t is one modular power seeded with alpha.
+    so alpha is ±r for odd r and ±y for even r. The caller passes p, which
+    it has built. Same rule and preconditions as the scalar kernel,
+    p <= 10^18; a p dividing D gets 0, as it does there, which no good
+    prime ≡ 1 (mod 4) has. D is reduced mod p once, by limbs, so any
+    integer D works, numpy ints included, and t is one modular power
+    seeded with alpha mod p, which is alpha or, where alpha < 0, alpha + p,
+    for legs of either sign.
     """
     import numpy as np
-    p = y * y + r * r
-    alpha = r if r % 2 else y
-    alpha = np.where(alpha % 4 == 3, -alpha, alpha) % p
+    if r % 2:
+        alpha = r if r % 4 == 1 else -r
+        if alpha < 0:
+            alpha = p + alpha
+    else:
+        alpha = np.where(y & 3 == 3, -y, y)
+        alpha = np.where(alpha < 0, alpha + p, alpha)
     t = _pow_mod_array(_mod_primes(D, p), (p - 1) >> 2, p, alpha)
-    return 2 * np.where(t > p // 2, t - p, t)
+    return 2 * np.where(t > p >> 1, t - p, t)

@@ -68,6 +68,13 @@ def _round_half_down(x: int, n: int) -> int:
     return (2 * x + n - 1) // (2 * n)
 
 
+def _gaussian_args(entry: str, **args) -> None:
+    # reject, by entry's name, the first argument that is not a GaussianInt
+    for name, z in args.items():
+        if not isinstance(z, GaussianInt):
+            raise PreconditionError(f"{entry}: {name} must be a GaussianInt, got {_show(z, repr)}")
+
+
 def gi_divmod(a: GaussianInt, b: GaussianInt) -> tuple[GaussianInt, GaussianInt]:
     """Division with remainder, norm(r) < norm(b).
 
@@ -75,8 +82,14 @@ def gi_divmod(a: GaussianInt, b: GaussianInt) -> tuple[GaussianInt, GaussianInt]
     ties rounding toward -infinity. That pins a unique (q, r) and keeps
     norm(r) <= norm(b)/2.
     """
+    _gaussian_args("gi_divmod", a=a, b=b)
     if b.is_zero():
         raise PreconditionError("gi_divmod: b must be nonzero, got 0")
+    return _gi_divmod(a, b)
+
+
+def _gi_divmod(a: GaussianInt, b: GaussianInt) -> tuple[GaussianInt, GaussianInt]:
+    # gi_divmod on GaussianInt arguments, b nonzero
     n = b.norm()
     t = a * b.conj()
     q = GaussianInt(_round_half_down(t.re, n), _round_half_down(t.im, n))
@@ -87,12 +100,16 @@ def gi_divmod(a: GaussianInt, b: GaussianInt) -> tuple[GaussianInt, GaussianInt]
 
 
 def gi_mod(a: GaussianInt, b: GaussianInt) -> GaussianInt:
-    return gi_divmod(a, b)[1]
+    # the remainder of gi_divmod, unchecked: a and b are GaussianInt, b nonzero
+    return _gi_divmod(a, b)[1]
 
 
 def gi_powmod(base: GaussianInt, exp: int, mod: GaussianInt) -> GaussianInt:
-    """base^exp reduced mod `mod` at every step (exp >= 0)."""
+    """base^exp reduced mod `mod` at every step (exp >= 0, mod nonzero)."""
+    _gaussian_args("gi_powmod", base=base, mod=mod)
     exp = _as_int(exp, "gi_powmod: exp", lo=0)
+    if mod.is_zero():
+        raise PreconditionError("gi_powmod: mod must be nonzero, got 0")
     result = gi_mod(GI_ONE, mod)
     acc = gi_mod(base, mod)
     while exp:
@@ -110,6 +127,7 @@ def is_primary(z: GaussianInt) -> bool:
     z = a+bi qualifies iff (a, b) ≡ (1, 0) or (3, 2) (mod 4). Exactly one
     associate of every odd nonunit qualifies; units and even elements never do.
     """
+    _gaussian_args("is_primary", z=z)
     if z.is_unit() or not z.is_odd():
         return False
     a4, b4 = z.re % 4, z.im % 4
@@ -118,6 +136,7 @@ def is_primary(z: GaussianInt) -> bool:
 
 def make_primary(z: GaussianInt) -> tuple[int, GaussianInt]:
     """Return (k, w) with w = i^k * z primary, k in 0..3."""
+    _gaussian_args("make_primary", z=z)
     if z.is_zero() or z.is_unit():
         raise PreconditionError(f"make_primary: z must be neither zero nor a unit, got {_show(z)}")
     if not z.is_odd():
@@ -137,10 +156,11 @@ def gi_gcd(a: GaussianInt, b: GaussianInt) -> GaussianInt:
     associate, so those are normalized to re > 0, im >= 0 instead. Unit gcds
     come back as 1.
     """
+    _gaussian_args("gi_gcd", a=a, b=b)
     if a.is_zero() and b.is_zero():
         raise PreconditionError("gi_gcd: a and b must not both be zero")
     while not b.is_zero():
-        a, b = b, gi_divmod(a, b)[1]
+        a, b = b, _gi_divmod(a, b)[1]
     if a.is_unit():
         return GI_ONE
     if a.is_odd():

@@ -4,13 +4,16 @@ A sweep finds every prime p = r^2 + y^2 <= N with the fixed leg r by a
 quadratic-polynomial sieve over the legs y (Crandall & Pomerance, Prime
 Numbers, section 3.2), which alone decides every leg, with one root rule
 for every sieving prime, marked by primes._unmarked like sieve_primes'
-own multiples; it classifies the traces of all of them on their
-legs as one array, and packages the tallies next to the closed-form
-prediction and the Lang-Trotter style count prediction, so one report
-carries everything needed to eyeball (or assert) agreement. What depends
-only on (|r|, N) is computed once and cached: _sieve_base holds the
-sieving primes and their square roots of -1 per isqrt(N), and _prime_legs
-the sieved legs per (|r|, N), so a sweep over many D pays the sieve once.
+own multiples. The Legendre symbol (D/p) of every prime found, read by
+quadratic reciprocity from small tables, decides whether its trace can
+be ±2r at all; only the primes where it can, about half, take the trace
+kernel's modular power, as one array on their legs. The tallies go next
+to the closed-form prediction and the Lang-Trotter style count
+prediction, so one report carries everything needed to eyeball (or
+assert) agreement. What depends only on (|r|, N) is computed once and
+cached: _sieve_base holds the sieving primes and their square roots of
+-1 per isqrt(N), and _prime_legs the sieved legs per (|r|, N), so a
+sweep over many D pays the sieve once.
 hl_delta remembers the Euler product of x^2 + r^2 per r^2 and bound.
 """
 
@@ -26,10 +29,11 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import isqrt, log, sqrt
 
-from .density import DensityPair, _check_pair, _lt_constant, density_formula
+from .arith import DSplit
+from .density import DensityPair, _check_pair, _formula, _lt_constant, density_formula
 from .errors import PreconditionError, _as_int, _show
-from .frobenius import _ap_kernel_array
-from .primes import _SIEVE_MAX, _pow_mod_array, _unmarked, sieve_primes
+from .frobenius import _ap_kernel_array, _chi_table
+from .primes import _SIEVE_MAX, _mod_primes, _pow_mod_array, _unmarked, sieve_primes
 
 __all__ = [
     "SweepReport",
@@ -40,6 +44,15 @@ __all__ = [
 
 
 _N_MAX = _SIEVE_MAX**2  # the sieving primes go to isqrt(N)
+# (2/p) for odd p, read off p mod 8
+_TWO_SYMBOL = (0, 1, 0, -1, 0, -1, 0, 1)
+# _legendre_legs reads (l/p) from l's Legendre table up to this l, and past
+# it _scan powers every leg. A table costs ~3.5 ns and 1 byte per entry to
+# build (0.35 ms at 10^5, 3.5 ms at 10^6, 2 vCPU), and one prefiltered
+# sweep at N = 10^10 saves ~0.7 ms of powers. The saving grows with N and
+# the table's cost does not, so this is an estimate at one N, not a
+# measured crossover
+_SYMBOL_PRIME_MAX = 10**5
 
 
 def _sig6(x: float) -> float:
@@ -143,15 +156,56 @@ def _prime_legs(r_abs: int, N: int) -> np.ndarray:
     return legs
 
 
-def _scan(D: int, r: int, N: int) -> tuple[int, int, int, int]:
-    """Tallies over the primes p = r^2 + y^2 <= N not dividing 2D.
+def _legendre_legs(split: DSplit, p: np.ndarray) -> np.ndarray | None:
+    """(D/p) as int8 on an int64 array of primes p ≡ 1 (mod 4) not dividing D,
+    D = split.D; None when D has an odd-exponent prime above _SYMBOL_PRIME_MAX.
 
-    The vector kernel classifies the cached legs of (|r|, N) all at once,
-    with r's sign in its alpha; its 0 marks the p dividing D.
+    For p ≡ 1 (mod 4), (-1/p) = 1 and (2/p) is 1 for p ≡ 1 (mod 8), -1
+    for p ≡ 5; for an odd prime l, quadratic reciprocity gives (l/p) =
+    (p/l), read from l's table at p mod l. A prime of even exponent is a
+    square factor, so (D/p) is the product of (2/p) when 2 has an odd
+    exponent and of (l/p) over the odd primes of exponent 1 and 3. A p
+    that is one of those primes reads 0.
     """
     import numpy as np
-    a = _ap_kernel_array(D, r, _prime_legs(abs(r), N))
-    n_primes = int(np.count_nonzero(a))
+    ls = [l for sh in (split.shape_d, split.shape_dbar) for l in sh.p_list + sh.l_list]
+    if ls and max(ls) > _SYMBOL_PRIME_MAX:
+        return None
+    chi = np.ones(p.size, dtype=np.int8)
+    if split.shape_dbar.sigma % 2:  # d is odd, so 2's exponent is dbar's sigma
+        chi *= np.array(_TWO_SYMBOL, dtype=np.int8)[p & 7]
+    for l in ls:
+        chi *= _chi_table(l)[p % l]
+    return chi
+
+
+def _scan(D: int, r: int, N: int, split: DSplit) -> tuple[int, int, int, int]:
+    """Tallies over the primes p = r^2 + y^2 <= N not dividing 2D.
+
+    The legs are the cached ones of (|r|, N), and split is D's (reduced by
+    fourth powers). The kernel's t is alpha * J lifted from mod p, with
+    alpha the odd leg signed ≡ 1 (mod 4) and J = D^((p-1)/4). J^2 ≡ (D/p)
+    by Euler's criterion, so J = ±1 where (D/p) = 1 and J = ±√−1 where
+    (D/p) = -1; alpha^2 + beta^2 = p makes alpha * √−1 ≡ ±beta. So t is
+    ±alpha or ±beta by (D/p) alone. For odd r, ±r is ±alpha; for even r,
+    ±r is ±beta. Only the legs with (D/p) = 1 (odd r) or -1 (even r) can
+    have a_p = ±2r, so only they take the kernel's power, with r's sign
+    in its alpha, and every other good leg counts as other. A D with an
+    odd-exponent prime above _SYMBOL_PRIME_MAX powers every leg. The p
+    dividing D are counted apart: only a p <= |D| can, and the kernel's 0
+    marks any that it powers.
+    """
+    import numpy as np
+    y = _prime_legs(abs(r), N)
+    p = y * y
+    p += r * r
+    head = p[:int(np.searchsorted(p, min(abs(D), N), side="right"))]  # p increases with y
+    n_primes = p.size - int(np.count_nonzero(_mod_primes(D, head) == 0))
+    chi = _legendre_legs(split, p)
+    if chi is not None:
+        keep = np.flatnonzero(chi == (1 if r % 2 else -1))
+        y, p = y[keep], p[keep]
+    a = _ap_kernel_array(D, r, y, p)
     n_plus = int(np.count_nonzero(a == 2 * r))
     n_minus = int(np.count_nonzero(a == -2 * r))
     return n_primes, n_plus, n_minus, n_primes - n_plus - n_minus
@@ -164,7 +218,7 @@ def sweep(D: int, r: int, N: int) -> SweepReport:
     even odd). Primes dividing 2D are excluded from every tally. The sieve
     needs every prime up to isqrt(N), so N is capped at 10^18. Its legs
     are cached per (|r|, N), so a repeated (|r|, N) pays only the trace
-    kernel: at N = 10^12 a warm sweep takes ~0.012 s against ~0.02 s
+    kernel: at N = 10^12 a warm sweep takes ~0.006 s against ~0.015 s
     with the legs sieved (2 vCPU), and elapsed_seconds times what ran.
     """
     D, r = _check_pair("sweep", D, r)
@@ -173,8 +227,8 @@ def sweep(D: int, r: int, N: int) -> SweepReport:
     import numpy  # noqa: F401
 
     t0 = time.perf_counter()
-    predicted = density_formula(D, r)
-    n_primes, n_plus, n_minus, n_other = _scan(D, r, N)
+    split, predicted = _formula(D, r)
+    n_primes, n_plus, n_minus, n_other = _scan(D, r, N, split)
     elapsed = time.perf_counter() - t0
     return SweepReport(
         D=D,

@@ -14,7 +14,7 @@ import enum
 
 from .errors import PreconditionError, _as_int, _nonzero_int, _show
 from .frobenius import _ap_kernel, _check_good_reduction
-from .gaussian import GaussianInt, _split_for, gi_mod, gi_powmod, is_primary
+from .gaussian import GaussianInt, _gaussian_args, _split_for, gi_mod, gi_powmod, is_primary
 from .primes import _U64_MAX, is_prime_u64
 
 
@@ -83,9 +83,7 @@ def legendre(a: int, p: int) -> int:
 def _check_symbol_args(entry: str, lam, pi) -> None:
     """Reject, by entry's name, a lam or pi that is not a GaussianInt, a pi that
     is not a primary Gaussian prime, and a lam that pi divides."""
-    for arg, z in (("lam", lam), ("pi", pi)):
-        if not isinstance(z, GaussianInt):
-            raise PreconditionError(f"{entry}: {arg} must be a GaussianInt, got {_show(z, repr)}")
+    _gaussian_args(entry, lam=lam, pi=pi)
     _check_primary_prime(entry, "pi", pi)
     # pi is prime, so lam shares a factor with it exactly when pi divides lam
     if gi_mod(lam, pi).is_zero():

@@ -260,13 +260,25 @@ ROWS = {
     }),
     "gi_divmod": Row("gi_divmod(GI(13, 0), GI(-3, 2))", rejects={
         "gi_divmod(GI(1, 1), GI(0, 0))": "b must be nonzero, got 0",
+        "gi_divmod(3, 4)": "a must be a GaussianInt, got 3$",
+        "gi_divmod(GI(3, 0), (4, 0))": "b must be a GaussianInt, got (4, 0)$",
     }),
     "gi_gcd": Row("gi_gcd(GI(3, 2), GI(13, 0))", rejects={
         "gi_gcd(GI(0, 0), GI(0, 0))": "a and b must not both be zero",
+        "gi_gcd(3, 4)": "a must be a GaussianInt, got 3$",
+        "gi_gcd(GI(3, 2), 13)": "b must be a GaussianInt, got 13$",
     }),
-    "gi_powmod": Row("gaussian.gi_powmod(GI(2, 0), 5, GI(3, 2))", {"exp": Int("0")}),
-    "is_primary": Row("is_primary(GI(3, 2))"),
+    "gi_powmod": Row("gaussian.gi_powmod(GI(2, 0), 5, GI(3, 2))", {"exp": Int("0")}, {
+        "gaussian.gi_powmod(2, 5, GI(3, 2))": "base must be a GaussianInt, got 2$",
+        "gaussian.gi_powmod(GI(2, 0), 5, 13)": "mod must be a GaussianInt, got 13$",
+        "gaussian.gi_powmod(GI(2, 0), 5, GI(0, 0))": "mod must be nonzero, got 0$",
+    }),
+    "is_primary": Row("is_primary(GI(3, 2))", rejects={
+        "is_primary(5)": "z must be a GaussianInt, got 5$",
+        "is_primary((3, 2))": "z must be a GaussianInt, got (3, 2)$",
+    }),
     "make_primary": Row("make_primary(GI(-3, 2))", rejects={
+        "make_primary((3, 2))": "z must be a GaussianInt, got (3, 2)$",
         **{f"make_primary(GI{z})": f"z must be neither zero nor a unit, got {GI(*z)}"
            for z in ((0, 1), (1, 0), (0, 0), (-1, 0))},
         **{f"make_primary(GI{z})": f"z must be odd (of odd norm), got {GI(*z)}"

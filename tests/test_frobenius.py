@@ -1,11 +1,13 @@
 import random
 from itertools import product
 from math import isqrt
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cmtrace import frobenius, primes
 from cmtrace.arith import reduce_quartic_twist
 from cmtrace.frobenius import (
     _BLOCK,
@@ -178,15 +180,26 @@ def _legs_array(draw):
     return D, legs
 
 
+def _pow_seeded_in_range(base, exp, mod, start=1):
+    # the power's precondition, 0 <= start < mod, on every seed the kernel passes
+    seed = np.broadcast_to(start, mod.shape)
+    assert ((0 <= seed) & (seed < mod)).all()
+    return primes._pow_mod_array(base, exp, mod, start)
+
+
 @settings(deadline=None)
 @given(args=_legs_array())
 def test_kernel_array_matches_scalar(args):
-    # the array kernel takes one first leg r for all its legs y: one call per r
+    # the array kernel takes one first leg r for all its legs y: one call per
+    # r; legs of either sign, each seed reduced into [0, p)
     D, legs = args
     for r in {x for x, _ in legs}:
         ys = [y for x, y in legs if x == r]
         want = [_ap_kernel(int(D), r, y) for y in ys]
-        assert _ap_kernel_array(D, r, np.array(ys, dtype=np.int64)).tolist() == want
+        y = np.array(ys, dtype=np.int64)
+        with mock.patch.object(frobenius, "_pow_mod_array", _pow_seeded_in_range):
+            got = _ap_kernel_array(D, r, y, y * y + r * r)
+        assert got.tolist() == want
 
 
 def test_hasse_parity_supersingular():

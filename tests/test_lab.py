@@ -23,7 +23,7 @@ from cmtrace.density import (
     sigma_sums,
 )
 from cmtrace.errors import PreconditionError
-from cmtrace.frobenius import _ap_kernel, ap_fast
+from cmtrace.frobenius import _ap_kernel, _ap_kernel_array, ap_fast
 from cmtrace.lab import (
     lt_predict,
     report_emit,
@@ -507,9 +507,75 @@ def test_sweep_matches_scalar_scan_at_1e9(D, r):
     (-21, 1, 10**11, (18821, 4935, 4912, 8974)),
     (-21, 1, 10**12, (54109, 14230, 14098, 25781)),
     (-21, 1, 10**14, (456361, 119864, 119325, 217172)),
+    # recorded with every leg powered: 5 | D through a fourth power drops
+    # p = 5 at r = 1, and 1000003 is past the Legendre tables' bound
+    (-21 * 5**4, 1, 10**9, (2376, 627, 642, 1107)),
+    (-21 * 5**4, 2, 10**9, (2321, 565, 537, 1219)),
+    (1000003, 1, 10**9, (2377, 642, 605, 1130)),
+    (-2 * 1000003, 2, 10**9, (2322, 589, 557, 1176)),
 ])
 def test_sweep_pinned_tallies(D, r, N, tally):
     assert _tally(sweep(D, r, N)) == tally
+
+
+# ---------------------------------------------------------------------------
+# the Legendre prefilter against the kernel on every leg
+
+# powers of primes past lab._SYMBOL_PRIME_MAX: of odd exponent in D they send
+# _scan down its route that powers every leg; factorize takes the square of
+# the one below its trial bound of 10^6
+_BIG_POWERS = (100003, 100003**2, 1000003, 2**31 - 1)
+
+
+@st.composite
+def _prefilter_D(draw):
+    # a sign, a power of 2, and small primes (three ≡ 1 (mod 4), so legs of
+    # small r) to the fifth power, so D may hold fourth powers that divide a leg
+    D = draw(st.sampled_from((1, -1))) * 2 ** draw(st.integers(0, 5))
+    for q in draw(st.lists(st.sampled_from((3, 5, 7, 11, 13, 17, 29, 99991)), max_size=4)):
+        D *= q ** draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        D *= draw(st.sampled_from(_BIG_POWERS))
+    return D
+
+
+def kernel_counts(D, r, N):
+    """_scan's tallies from the kernel on every leg of (|r|, N)."""
+    y = lab._prime_legs(abs(r), N)
+    a = _ap_kernel_array(D, r, y, y * y + r * r)
+    n = int(np.count_nonzero(a))
+    n_plus, n_minus = int(np.count_nonzero(a == 2 * r)), int(np.count_nonzero(a == -2 * r))
+    return n, n_plus, n_minus, n - n_plus - n_minus
+
+
+@settings(deadline=None, max_examples=150)
+@given(D=_prefilter_D(), r=st.integers(-40, 40).filter(bool), N=st.integers(2, 3 * 10**6))
+@example(D=-21 * 5**4, r=1, N=10**5)  # p = 5 divides D through a fourth power
+@example(D=-21 * 5**4, r=2, N=10**5)
+@example(D=-21 * 13**2, r=2, N=10**5)  # p = 13 divides D through a square
+@example(D=8 * 1000003, r=1, N=10**5)  # 2 of odd exponent, a prime past the tables
+@example(D=-(100003**2) * 3, r=-3, N=10**5)  # a square of such a prime keeps the tables
+@example(D=5 * 99991, r=2, N=10**5)  # the largest prime with a table
+def test_scan_matches_kernel_on_every_leg(D, r, N):
+    N = max(N, r * r + 1)
+    assert lab._scan(D, r, N, arith.split_d(D, r)) == kernel_counts(D, r, N)
+
+
+@settings(deadline=None, max_examples=60)
+@given(D=_prefilter_D(), r=st.sampled_from((1, 2, 15, 21, 35, 105)))
+def test_legendre_legs_vs_scalar(D, r):
+    # r puts the odd primes of D that divide it in the split's d
+    p = sieve_primes(20_000)
+    p = p[p % 4 == 1]
+    chi = lab._legendre_legs(arith.split_d(D, r), p)
+    odd = {q for q, e in arith.factorize(D).items() if e % 2}
+    if odd and max(odd) > lab._SYMBOL_PRIME_MAX:
+        assert chi is None
+        return
+    # (D/p) wherever p does not divide D, and 0 at the primes of odd exponent
+    want = [residue_symbols.legendre(D, q) for q in p.tolist()]
+    got = [c if D % q or q in odd else 0 for c, q in zip(chi.tolist(), p.tolist())]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
