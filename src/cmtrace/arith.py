@@ -86,9 +86,6 @@ def rad_odd(n: int) -> int:
     return prod(p for p in factorize(_nonzero_int(n, "rad_odd: n")) if p != 2)
 
 
-_RESIDUES = (1, 3, 5, 7)
-
-
 @dataclass(frozen=True, slots=True)
 class DShape:
     """Structure of a fourth-power-free integer.
@@ -127,23 +124,27 @@ def shape_of(D: int) -> DShape:
 
 
 def _shape(sign: int, fac: dict[int, int]) -> DShape:
-    """DShape of sign * prod(l**e for l, e in fac), exponents below 4."""
-    buckets: dict[int, list[int]] = {1: [], 2: [], 3: []}
-    for l, e in sorted(fac.items()):
-        if l != 2:
-            buckets[e].append(l)
-    p_list, q_list, l_list = (tuple(buckets[e]) for e in (1, 2, 3))
-    r_counts, t_counts = dict.fromkeys(_RESIDUES, 0), dict.fromkeys(_RESIDUES, 0)
-    for l in p_list:
-        r_counts[l % 8] += 1
-    for l in l_list:
-        t_counts[l % 8] += 1
+    """DShape of sign * prod(l**e for l, e in fac), exponents below 4, with
+    fac's primes in increasing order, as factorize gives them."""
+    p_list, q_list, l_list = [], [], []
+    r_counts, t_counts = {1: 0, 3: 0, 5: 0, 7: 0}, {1: 0, 3: 0, 5: 0, 7: 0}
+    for l, e in fac.items():
+        if l == 2:
+            continue
+        if e == 1:
+            p_list.append(l)
+            r_counts[l & 7] += 1
+        elif e == 2:
+            q_list.append(l)
+        else:
+            l_list.append(l)
+            t_counts[l & 7] += 1
     return DShape(
         sign=sign,
         sigma=fac.get(2, 0),
-        p_list=p_list,
-        q_list=q_list,
-        l_list=l_list,
+        p_list=tuple(p_list),
+        q_list=tuple(q_list),
+        l_list=tuple(l_list),
         r_counts=r_counts,
         t_counts=t_counts,
         s=len(q_list),

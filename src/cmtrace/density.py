@@ -35,7 +35,7 @@ from .arith import (
 from .errors import NoRepresentativeFound, PreconditionError, _as_int, _nonzero_int, _show
 from .frobenius import _ap_kernel
 from .gaussian import GaussianInt
-from .hardy_littlewood import HLPoly, hl_delta
+from .hardy_littlewood import HLPoly, _hl_delta
 from .primes import _SIEVE_MAX, is_prime_u64
 from .residue_symbols import FourClass, _trace_class, class_to_value
 
@@ -124,6 +124,8 @@ class ZeroVerdict:
 #
 # Each helper takes the split of the reduced D against the normalized m
 # (split.D, split.r), built by _closed_form from one factorization of D.
+# The pair helpers return m's (d_plus, d_minus) as a plain tuple, and
+# _closed_form builds the one DensityPair, in the caller's orientation.
 
 
 def _T1(split: DSplit) -> int:
@@ -146,13 +148,13 @@ def _odd_exp(sh: DShape, *residues: int) -> int:
 def _base(split: DSplit, sign: int = 1) -> Fraction:
     """(1/4)(1 + sign * (-1)^(r''+t'') / T1), r''+t'' counting dbar's odd-exponent primes."""
     sh = split.shape_dbar
-    parity = -1 if (sh.r + sh.t) % 2 else 1
-    return Fraction(1, 4) * (1 + Fraction(sign * parity, _T1(split)))
+    t1 = _T1(split)
+    return Fraction(t1 - sign if (sh.r + sh.t) % 2 else t1 + sign, 4 * t1)
 
 
-def _sym_pair(split: DSplit, sign: int) -> DensityPair:
+def _sym_pair(split: DSplit, sign: int) -> tuple[Fraction, Fraction]:
     v = _base(split, sign)
-    return DensityPair(v, v)
+    return v, v
 
 
 def _odd_asym(D: int, sigma: int) -> bool:
@@ -160,21 +162,21 @@ def _odd_asym(D: int, sigma: int) -> bool:
     return (sigma == 0 and D % 4 == 1) or (sigma == 2 and (D // 4) % 4 == 3)
 
 
-def _odd_pair(split: DSplit) -> DensityPair:
+def _odd_pair(split: DSplit) -> tuple[Fraction, Fraction]:
     """Densities of (a_p = 2*alpha, a_p = -2*alpha), alpha = split.r ≡ 1 (mod 4)."""
     sigma = split.shape_dbar.sigma
     if sigma in (1, 3):
         quarter = Fraction(1, 4)
-        return DensityPair(quarter, quarter)
+        return quarter, quarter
     if not _odd_asym(split.D, sigma):
         return _sym_pair(split, +1)
     base = _base(split)
     e = _odd_exp(split.shape_d, 3, 5) + _odd_exp(split.shape_dbar, 1, 7) + split.shape_dbar.s
     term = Fraction((-1) ** e, 2 * _T2(split))
-    return DensityPair(base + term, base - term)
+    return base + term, base - term
 
 
-def _even_pair(split: DSplit) -> DensityPair:
+def _even_pair(split: DSplit) -> tuple[Fraction, Fraction]:
     """Densities of (a_p = 2m, a_p = -2m), even m = split.r; 2||m implies m ≡ 2 (mod 8)."""
     D, sh_db = split.D, split.shape_dbar
     sigma = sh_db.sigma
@@ -189,13 +191,13 @@ def _even_pair(split: DSplit) -> DensityPair:
         else:
             plus_takes_all = (D // 8) % 4 == 3
         one, zero = Fraction(1), Fraction(0)
-        return DensityPair(one, zero) if plus_takes_all else DensityPair(zero, one)
+        return (one, zero) if plus_takes_all else (zero, one)
     base = _base(split)
     e = _odd_exp(sh_db, 1, 5) + sh_db.s + ((split.d - 1) // 2)
     term = Fraction((-1) ** e, 2 * _T2(split))
     if (sigma == 1) != (D > 0):
         term = -term
-    return DensityPair(base + term, base - term)
+    return base + term, base - term
 
 
 def _normalize(r: int) -> tuple[int, bool]:
@@ -220,10 +222,13 @@ def _check_pair(entry: str, D, r) -> tuple[int, int]:
 
 
 def _closed_form(D: int, r: int) -> tuple[DSplit, DensityPair, bool]:
-    """The split of the reduced D against the normalized m, its pair, the swap (D, r checked)."""
+    """The split of the reduced D against the normalized m, the densities of
+    a_p = +2r and -2r for the caller's r, and whether they are m's swapped
+    (D, r checked)."""
     m, swap = _normalize(r)
     split = _split_d(D, m)
-    return split, (_odd_pair(split) if m % 2 else _even_pair(split)), swap
+    plus, minus = _odd_pair(split) if m % 2 else _even_pair(split)
+    return split, DensityPair(minus, plus) if swap else DensityPair(plus, minus), swap
 
 
 def density_formula(D: int, r: int) -> DensityPair:
@@ -234,13 +239,7 @@ def density_formula(D: int, r: int) -> DensityPair:
     first; both inputs must be nonzero, and D must pass factorize (at most
     one prime factor above 10^6, and that one below 2^64).
     """
-    return _formula(*_check_pair("density_formula", D, r))[1]
-
-
-def _formula(D: int, r: int) -> tuple[DSplit, DensityPair]:
-    """density_formula on checked D and r, with the split of D it was read from."""
-    split, pair, swap = _closed_form(D, r)
-    return split, pair.swapped() if swap else pair
+    return _closed_form(*_check_pair("density_formula", D, r))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +411,11 @@ def is_zero_pair(D: int, r: int) -> ZeroVerdict:
     split, pair, swap = _closed_form(D, r)
     hit = (_odd_zero_row if r % 2 else _even_zero_row)(split)
     row, z_plus, z_minus = hit or (None, False, False)
-    if (z_plus and pair.d_plus != 0) or (z_minus and pair.d_minus != 0):
-        raise AssertionError(f"zero row disagrees with formula at (D={_show(D)}, r={_show(r)})")
+    if swap:  # the rows name the sides of the normalized m
+        z_plus, z_minus = z_minus, z_plus
     plus_zero, minus_zero = pair.d_plus == 0, pair.d_minus == 0
-    if swap:
-        plus_zero, minus_zero = minus_zero, plus_zero
+    if (z_plus and not plus_zero) or (z_minus and not minus_zero):
+        raise AssertionError(f"zero row disagrees with formula at (D={_show(D)}, r={_show(r)})")
     return ZeroVerdict(D=D, r=r, plus_zero=plus_zero, minus_zero=minus_zero, table_row=row)
 
 
@@ -438,6 +437,6 @@ def lt_constant(D: int, r: int, prime_bound: int = 1_000_000) -> float:
 
 def _lt_constant(pair: DensityPair, r: int, prime_bound: int) -> float:
     # lt_constant on the density pair of (D, r), for callers that hold it and
-    # have checked r (an int, so r * r cannot wrap) and prime_bound, so
-    # hl_delta's own checks always pass
-    return hl_delta(HLPoly(1, 0, r * r), prime_bound) * float(pair.d_plus)
+    # have checked r and prime_bound. x^2 + r^2 with r != 0 is always
+    # admissible, so hl_delta's checks would pass, and its memo is read directly
+    return _hl_delta(HLPoly(1, 0, r * r), prime_bound) * float(pair.d_plus)

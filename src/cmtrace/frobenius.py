@@ -159,8 +159,9 @@ def _ap_kernel_array(D: int, r: int, y: np.ndarray, p: np.ndarray) -> np.ndarray
     so alpha is ±r for odd r and ±y for even r. The caller passes p, which
     it has built. Same rule and preconditions as the scalar kernel,
     p <= 10^18; a p dividing D gets 0, as it does there, which no good
-    prime ≡ 1 (mod 4) has. D is reduced mod p once, by limbs, so any
-    integer D works, numpy ints included, and t is one modular power
+    prime ≡ 1 (mod 4) has. D is reduced mod p once by _mod_primes (one
+    int64 remainder below 2^63, by limbs above), so any integer D works,
+    numpy ints included, and t is one modular power
     seeded with alpha mod p, which is alpha or, where alpha < 0, alpha + p,
     for legs of either sign.
     """
@@ -170,7 +171,7 @@ def _ap_kernel_array(D: int, r: int, y: np.ndarray, p: np.ndarray) -> np.ndarray
         if alpha < 0:
             alpha = p + alpha
     else:
-        alpha = np.where(y & 3 == 3, -y, y)
+        alpha = np.where(y & 2, -y, y)  # y is odd, so y & 2 marks y ≡ 3 (mod 4)
         alpha = np.where(alpha < 0, alpha + p, alpha)
-    t = _pow_mod_array(_mod_primes(D, p), (p - 1) >> 2, p, alpha)
+    t = _pow_mod_array(_mod_primes(D, p), p >> 2, p, alpha)  # (p - 1)/4, as p ≡ 1 (mod 4)
     return 2 * np.where(t > p >> 1, t - p, t)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import isqrt, log, sqrt
 
 from .arith import DSplit
-from .density import DensityPair, _check_pair, _formula, _lt_constant, density_formula
+from .density import DensityPair, _check_pair, _closed_form, _lt_constant, density_formula
 from .errors import PreconditionError, _as_int, _show
 from .frobenius import _ap_kernel_array, _chi_table
 from .primes import _SIEVE_MAX, _mod_primes, _pow_mod_array, _unmarked, sieve_primes
@@ -44,8 +44,6 @@ __all__ = [
 
 
 _N_MAX = _SIEVE_MAX**2  # the sieving primes go to isqrt(N)
-# (2/p) for odd p, read off p mod 8
-_TWO_SYMBOL = (0, 1, 0, -1, 0, -1, 0, 1)
 # _legendre_legs reads (l/p) from l's Legendre table up to this l, and past
 # it _scan powers every leg. A table costs ~3.5 ns and 1 byte per entry to
 # build (0.35 ms at 10^5, 3.5 ms at 10^6, 2 vCPU), and one prefiltered
@@ -156,25 +154,25 @@ def _prime_legs(r_abs: int, N: int) -> np.ndarray:
     return legs
 
 
-def _legendre_legs(split: DSplit, p: np.ndarray) -> np.ndarray | None:
-    """(D/p) as int8 on an int64 array of primes p ≡ 1 (mod 4) not dividing D,
-    D = split.D; None when D has an odd-exponent prime above _SYMBOL_PRIME_MAX.
+def _legendre_legs(odd: tuple[int, ...], two: bool, p: np.ndarray) -> np.ndarray | None:
+    """The product of (l/p) over the odd primes l in odd, times (2/p) when two,
+    as int8 on an int64 array of primes p ≡ 1 (mod 4); None when some l is
+    above _SYMBOL_PRIME_MAX.
 
-    For p ≡ 1 (mod 4), (-1/p) = 1 and (2/p) is 1 for p ≡ 1 (mod 8), -1
-    for p ≡ 5; for an odd prime l, quadratic reciprocity gives (l/p) =
-    (p/l), read from l's table at p mod l. A prime of even exponent is a
-    square factor, so (D/p) is the product of (2/p) when 2 has an odd
-    exponent and of (l/p) over the odd primes of exponent 1 and 3. A p
-    that is one of those primes reads 0.
+    For p ≡ 1 (mod 4), (2/p) is 1 for p ≡ 1 (mod 8), -1 for p ≡ 5, and
+    for an odd prime l quadratic reciprocity gives (l/p) = (p/l), read
+    from l's table at p mod l. So with odd the odd primes of odd exponent
+    in D, and two whether 2's exponent is odd, this is (D/p) wherever p
+    does not divide D, and 0 where p is one of those primes.
     """
     import numpy as np
-    ls = [l for sh in (split.shape_d, split.shape_dbar) for l in sh.p_list + sh.l_list]
-    if ls and max(ls) > _SYMBOL_PRIME_MAX:
+    if odd and max(odd) > _SYMBOL_PRIME_MAX:
         return None
-    chi = np.ones(p.size, dtype=np.int8)
-    if split.shape_dbar.sigma % 2:  # d is odd, so 2's exponent is dbar's sigma
-        chi *= np.array(_TWO_SYMBOL, dtype=np.int8)[p & 7]
-    for l in ls:
+    if two:
+        chi = np.where(p & 4, np.int8(-1), np.int8(1))
+    else:
+        chi = np.ones(p.size, dtype=np.int8)
+    for l in odd:
         chi *= _chi_table(l)[p % l]
     return chi
 
@@ -190,21 +188,27 @@ def _scan(D: int, r: int, N: int, split: DSplit) -> tuple[int, int, int, int]:
     ±alpha or ±beta by (D/p) alone. For odd r, ±r is ±alpha; for even r,
     ±r is ±beta. Only the legs with (D/p) = 1 (odd r) or -1 (even r) can
     have a_p = ±2r, so only they take the kernel's power, with r's sign
-    in its alpha, and every other good leg counts as other. A D with an
-    odd-exponent prime above _SYMBOL_PRIME_MAX powers every leg. The p
-    dividing D are counted apart: only a p <= |D| can, and the kernel's 0
-    marks any that it powers.
+    in its alpha, and every other good leg counts as other; where no leg
+    can, the kernel does not run. (D/p) is
+    (d/p)(dbar/p), and (d/p) = 1 on every leg: each odd prime l of d
+    divides r, so (l/p) = (p/l) = (y^2/l) = 1. So only dbar's primes are
+    read, and a dbar with an odd-exponent prime above _SYMBOL_PRIME_MAX
+    powers every leg. The p dividing D are counted apart: only a p <= |D|
+    can, and the kernel's 0 marks any that it powers.
     """
     import numpy as np
     y = _prime_legs(abs(r), N)
     p = y * y
     p += r * r
-    head = p[:int(np.searchsorted(p, min(abs(D), N), side="right"))]  # p increases with y
+    head = p[:int(p.searchsorted(min(abs(D), N), side="right"))]  # p increases with y
     n_primes = p.size - int(np.count_nonzero(_mod_primes(D, head) == 0))
-    chi = _legendre_legs(split, p)
+    sh = split.shape_dbar
+    chi = _legendre_legs(sh.p_list + sh.l_list, sh.sigma % 2 == 1, p)  # d is odd
     if chi is not None:
         keep = np.flatnonzero(chi == (1 if r % 2 else -1))
         y, p = y[keep], p[keep]
+    if not p.size:
+        return n_primes, 0, 0, n_primes
     a = _ap_kernel_array(D, r, y, p)
     n_plus = int(np.count_nonzero(a == 2 * r))
     n_minus = int(np.count_nonzero(a == -2 * r))
@@ -218,8 +222,10 @@ def sweep(D: int, r: int, N: int) -> SweepReport:
     even odd). Primes dividing 2D are excluded from every tally. The sieve
     needs every prime up to isqrt(N), so N is capped at 10^18. Its legs
     are cached per (|r|, N), so a repeated (|r|, N) pays only the trace
-    kernel: at N = 10^12 a warm sweep takes ~0.006 s against ~0.015 s
-    with the legs sieved (2 vCPU), and elapsed_seconds times what ran.
+    kernel: at N = 10^12 a warm sweep takes ~0.006 s against ~0.014 s
+    with the legs sieved (2 vCPU), and elapsed_seconds times what ran. At
+    N = 10^7, ~100-300 legs, a warm sweep takes ~0.13 ms, most of it a
+    fixed count of numpy calls and the closed form.
     """
     D, r = _check_pair("sweep", D, r)
     N = _as_int(N, "sweep: N", r * r + 1, _N_MAX)
@@ -227,7 +233,7 @@ def sweep(D: int, r: int, N: int) -> SweepReport:
     import numpy  # noqa: F401
 
     t0 = time.perf_counter()
-    split, predicted = _formula(D, r)
+    split, predicted, _ = _closed_form(D, r)
     n_primes, n_plus, n_minus, n_other = _scan(D, r, N, split)
     elapsed = time.perf_counter() - t0
     return SweepReport(

@@ -134,14 +134,19 @@ def sieve_primes(bound: int) -> np.ndarray:
 def _mod_primes(c: int, p: np.ndarray) -> np.ndarray:
     """c mod each p (int64, 0 < p < 2^62), exact for any integer c.
 
-    Horner's rule over limbs of |c| as wide as the largest p leaves room
-    for in int64: with p < 2^k, (p - 1) * 2^(63-k) + 2^(63-k) - 1 < 2^63.
+    A c that int64 holds takes one int64 remainder, which has the sign of
+    p as Python's has. A larger c runs Horner's rule over limbs of |c| as
+    wide as the largest p leaves room for in int64: with p < 2^k,
+    (p - 1) * 2^(63-k) + 2^(63-k) - 1 < 2^63.
     """
     import numpy as np
     if not p.size:
         return np.zeros_like(p)
+    c = int(c)
+    if abs(c) < 1 << 63:
+        return np.remainder(c, p)
     width = 63 - int(p.max()).bit_length()
-    m = abs(int(c))
+    m = abs(c)
     limbs = []
     while True:
         limbs.append(m & ((1 << width) - 1))
@@ -167,14 +172,22 @@ _MULMOD_BOUND = 1 << 50
 # multiplies per bit but builds a table of 2^w rows. Over 456,361 legs (N =
 # 10^14), blocks of 2^13 to 2^16 ran within 6%, 2^12 was 14% slower; 2^14
 # holds every sweep-large call in one block and its table in 1 MiB.
+# _pow_block makes the table indices of _POW_CHUNK windows in one pass of 4
+# numpy calls: a short power pays per call, not per element (~0.7 us a call
+# at 160 elements). The int32 indices of 4 windows hold two int64 rows; 8
+# windows ran 7% faster at 160 elements but took a block past the 18 rows
+# that test_pow_mod_array_memory allows.
 _POW_WINDOW = 3
 _POW_BLOCK = 1 << 14
+_POW_CHUNK = 4
 
 
 def _signed_mulmod(mod: np.ndarray):
-    """An elementwise a * b mod m in (-m, m), for -m < a, b < m < 2^50.
+    """An elementwise mul(a, b, out) = a * b mod m in (-m, m), for -m < a, b < m < 2^50.
 
-    Below 3.03e9 every product fits int64, and a*b % m is the residue.
+    mul writes its product into out and returns it; out may be a itself,
+    so a chain of squarings allocates nothing on the int64 route. Below
+    3.03e9 every product fits int64, and a*b % m is the residue.
     Above it, q is a*b/m computed in float64 and rounded to the nearest
     integer. a, b and m are exact in float64, and the product, 1/m and
     the quotient each round once, by a factor (1 + e) with |e| <= 2^-53.
@@ -189,54 +202,68 @@ def _signed_mulmod(mod: np.ndarray):
     import numpy as np
     top = int(mod.max()) if mod.size else 0
     if top <= _INT64_MOD_MAX:
-        return lambda a, b: a * b % mod
+        def mul(a: np.ndarray, b, out: np.ndarray) -> np.ndarray:
+            np.multiply(a, b, out)
+            return np.remainder(out, mod, out)
+
+        return mul
     if top >= _MULMOD_BOUND:
         raise PreconditionError(f"modulus {top} is not below 2^50")
     inv = 1.0 / mod
 
-    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def mul(a: np.ndarray, b, out: np.ndarray) -> np.ndarray:
         x = a.astype(np.float64)
-        x *= x if b is a else b.astype(np.float64)  # float * float beats float * int64
+        x *= x if b is a else np.asarray(b, dtype=np.float64)  # float * float beats float * int64
         x *= inv
         q = np.rint(x, out=x).astype(np.int64)
         q *= mod
-        r = a * b
-        r -= q
-        return r
+        np.multiply(a, b, out)
+        out -= q
+        return out
 
     return mul
 
 
-def _pow_block(base: np.ndarray, exp: np.ndarray, mod: np.ndarray, start: np.ndarray) -> np.ndarray:
+def _pow_block(base: np.ndarray, exp: np.ndarray, mod: np.ndarray, start) -> np.ndarray:
     # _pow_mod_array on one non-empty block whose moduli are all below 2^50:
     # one _signed_mulmod for the whole ladder and the product with start,
     # then its one correction, adding mod where that product is negative
     import numpy as np
     n = mod.size
+    w = 1 << _POW_WINDOW
     mul = _signed_mulmod(mod)
-    table = np.empty((1 << _POW_WINDOW, n), dtype=np.int64)  # base**d in row d
+    table = np.empty((w, n), dtype=np.int64)  # base**d in row d
     table[0] = 1
     table[1] = base
-    for d in range(2, 1 << _POW_WINDOW):
-        table[d] = mul(table[d - 1], base)
+    for d in range(2, w):
+        mul(table[d - 1], base, table[d])
     table = table.ravel()
-    cols = np.arange(n, dtype=np.int64)
-
-    def entry(shift: int) -> np.ndarray:
-        # base**d for the digit d of each exponent's _POW_WINDOW bits from shift up
-        d = exp >> shift
-        d &= (1 << _POW_WINDOW) - 1
-        d *= n
-        d += cols
-        return table.take(d)  # one take on the flat table: table[d, cols] took 4x as long
-
+    cols = np.arange(n, dtype=np.int32)
     top = (max(int(exp.max()).bit_length(), 1) - 1) // _POW_WINDOW * _POW_WINDOW
-    acc = entry(top)
-    for shift in range(top - _POW_WINDOW, -1, -_POW_WINDOW):
+    shifts = np.arange(top, -1, -_POW_WINDOW)
+
+    def entries():
+        # base**d for each window's digit d, top window first, as one take on
+        # the flat table at d*n + column (table[d, cols] took 4x as long). A
+        # shift's low bits are exact in int32, and every index is below
+        # 2^_POW_WINDOW * _POW_BLOCK = 2^17
+        for lo in range(0, shifts.size, _POW_CHUNK):
+            idx = np.empty((min(_POW_CHUNK, shifts.size - lo), n), dtype=np.int32)
+            np.right_shift(exp, shifts[lo:lo + _POW_CHUNK, None], out=idx, casting="unsafe")
+            idx &= w - 1
+            idx *= n
+            idx += cols
+            for i in idx:
+                yield table.take(i)
+
+    it = entries()
+    acc = next(it)
+    for entry in it:
         for _ in range(_POW_WINDOW):
-            acc = mul(acc, acc)
-        acc = mul(acc, entry(shift))
-    acc = mul(acc, start)
+            mul(acc, acc, acc)
+        mul(acc, entry, acc)
+    if not (isinstance(start, int) and start == 1):
+        mul(acc, start, acc)
     c = np.right_shift(acc, 63)  # -1 where acc < 0, else 0
     c &= mod
     acc += c
@@ -255,15 +282,21 @@ def _pow_mod_array(base: np.ndarray, exp: np.ndarray, mod: np.ndarray, start=1) 
     2^50 takes one Python pow.
     """
     import numpy as np
-    result = np.array(np.broadcast_to(start, mod.shape), dtype=np.int64)
-    big = mod >= _MULMOD_BOUND
-    if big.any():
-        s, b, e, m = (v[big].tolist() for v in (result, base, exp, mod))
-        result[big] = [x * pow(y, z, w) % w for x, y, z, w in zip(s, b, e, m)]
+    if not isinstance(start, np.ndarray):
+        start = int(start)
+    if not mod.size:
+        return np.zeros_like(mod)
+    if mod.max() >= _MULMOD_BOUND:
+        big = mod >= _MULMOD_BOUND
         small = ~big
-        result[small] = _pow_mod_array(base[small], exp[small], mod[small], result[small])
+        starts = np.broadcast_to(start, mod.shape)
+        result = np.empty_like(mod)
+        s, b, e, m = (v[big].tolist() for v in (starts, base, exp, mod))
+        result[big] = [x * pow(y, z, w) % w for x, y, z, w in zip(s, b, e, m)]
+        result[small] = _pow_mod_array(base[small], exp[small], mod[small], starts[small])
         return result
+    result = np.empty_like(mod)
     for lo in range(0, mod.size, _POW_BLOCK):
         s = slice(lo, lo + _POW_BLOCK)
-        result[s] = _pow_block(base[s], exp[s], mod[s], result[s])
+        result[s] = _pow_block(base[s], exp[s], mod[s], start if isinstance(start, int) else start[s])
     return result

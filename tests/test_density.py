@@ -291,12 +291,12 @@ def test_zero_row_check_survives_python_O():
         "for helper, D, r in (('_odd_pair', 5, 3), ('_even_pair', 2, 2)):",
         "    density.is_zero_pair(D, r)",
         "    orig = getattr(density, helper)",
-        "    setattr(density, helper, lambda *a, orig=orig: orig(*a).swapped())",
+        "    setattr(density, helper, lambda *a, orig=orig: orig(*a)[::-1])",
         "    try:",
         "        print(helper, 'returned', density.is_zero_pair(D, r))",
         "    except PreconditionError:",
         "        print(helper, 'rejected')",
-        "    except Exception:",
+        "    except AssertionError:",
         "        print(helper, 'raised')",
         "    setattr(density, helper, orig)",
     ])

@@ -176,6 +176,53 @@ def test_mod_primes_vs_python():
             assert _mod_primes(c, p).tolist() == [c % int(m) for m in p.tolist()], (c, hi)
 
 
+@pytest.mark.parametrize("lo", [2, 3, 101, 2**31 - 1, 10**18])
+def test_mod_primes_at_the_switch(lo):
+    # a c that int64 holds takes one remainder, and a larger one the limbs:
+    # each c is taken at 0, beside the smallest p, past the largest, on
+    # both sides of 2^63 and far past it
+    p = np.array([lo, lo + 2, lo + 10**6] if lo < 10**18 else [lo], dtype=np.int64)
+    lo, hi = int(p.min()), int(p.max())
+    for a in (0, 1, lo - 1, lo, hi + 1, 2**63 - 1, 2**63, 10**100):
+        for c in (a, -a):
+            assert _mod_primes(c, p).tolist() == [c % m for m in p.tolist()], (c, lo)
+    assert _mod_primes(np.int64(-7), p).tolist() == [-7 % m for m in p.tolist()]
+
+
+@st.composite
+def _short_powers(draw):
+    # the lengths of the short sweeps' powers, each element's exponent of up
+    # to `bits` bits, moduli below 3.03e9, above it or both, and start as one
+    # int or as an array
+    n = draw(st.integers(0, 512))
+    bits = draw(st.integers(0, 49))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = draw(st.sampled_from(((2, _INT64_MOD_MAX), (_INT64_MOD_MAX + 1, 1 << 50), (2, 1 << 50))))
+    mod = rng.integers(lo, hi, n)
+    if n and draw(st.booleans()):
+        mod[rng.integers(n)] = draw(st.sampled_from((_INT64_MOD_MAX, _INT64_MOD_MAX + 1)))
+    base = rng.integers(0, mod) if n else mod.copy()
+    exp = rng.integers(0, 1 << bits, n) if bits else np.zeros(n, dtype=np.int64)
+    if n:
+        exp[rng.integers(n)] = (1 << bits) - 1
+    if draw(st.booleans()):
+        start = draw(st.integers(0, int(mod.min()) - 1 if n else 10))
+    else:
+        start = rng.integers(0, mod) if n else mod.copy()
+    return base, exp, mod, start
+
+
+@settings(deadline=None, max_examples=200)
+@given(args=_short_powers())
+def test_pow_mod_array_short_vs_python(args):
+    base, exp, mod, start = args
+    starts = start.tolist() if isinstance(start, np.ndarray) else [start] * mod.size
+    got = _pow_mod_array(base, exp, mod, start)
+    assert got.dtype == np.int64 and got.shape == mod.shape
+    want = [s * pow(b, e, m) % m for b, e, m, s in zip(base.tolist(), exp.tolist(), mod.tolist(), starts)]
+    assert got.tolist() == want
+
+
 @pytest.mark.parametrize("top", [3_037_000_500, 3_037_000_501, (1 << 50) - 1])
 def test_mulmod_vs_python(top):
     # products ≡ ±1 (mod m) sit next to a multiple of m, where the float64
@@ -288,8 +335,10 @@ def test_pow_mod_array_windows_vs_python(args):
 def test_pow_mod_array_memory():
     # 2^18 float-quotient elements: past the output, one block is held at a
     # time, its table of 2^_POW_WINDOW rows and at most 10 other arrays of
-    # its size (the column index, 1/m, the accumulator, a table entry and
-    # its index, and a product's two float factors, quotient and remainder)
+    # its size (the int32 column index, the int32 table indices of
+    # _POW_CHUNK windows, 1/m, the accumulator, a table entry, and a
+    # product's two float factors and quotient; the product itself is
+    # written in place)
     rng = np.random.default_rng(18)
     n = 1 << 18
     mod = rng.integers(_INT64_MOD_MAX + 1, 1 << 50, n)
@@ -513,9 +562,23 @@ def test_sweep_matches_scalar_scan_at_1e9(D, r):
     (-21 * 5**4, 2, 10**9, (2321, 565, 537, 1219)),
     (1000003, 1, 10**9, (2377, 642, 605, 1130)),
     (-2 * 1000003, 2, 10**9, (2322, 589, 557, 1176)),
+    (-3, 6, 10**7, (200, 0, 0, 200)),  # no leg can carry ±12: none is powered
+    (-50, 1, 10**7, (314, 75, 87, 152)),  # p = 5 divides D and is counted apart
 ])
 def test_sweep_pinned_tallies(D, r, N, tally):
     assert _tally(sweep(D, r, N)) == tally
+
+
+@pytest.mark.parametrize("D, r", [(-3, 6), (-3, -6), (1, 2), (-21 * 5**4, 42)])
+def test_scan_powers_no_leg_when_none_can_count(D, r, monkeypatch):
+    # every prime of D's reduced part divides r, so (D/p) = 1 on every leg and
+    # even r wants -1; no leg divides D, so every one counts as other
+    def no_power(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(lab, "_ap_kernel_array", no_power)
+    n = lab._prime_legs(abs(r), 10**7).size
+    assert lab._scan(D, r, 10**7, arith.split_d(D, r)) == (n, 0, 0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -556,19 +619,24 @@ def kernel_counts(D, r, N):
 @example(D=8 * 1000003, r=1, N=10**5)  # 2 of odd exponent, a prime past the tables
 @example(D=-(100003**2) * 3, r=-3, N=10**5)  # a square of such a prime keeps the tables
 @example(D=5 * 99991, r=2, N=10**5)  # the largest prime with a table
+# a prime past the tables in d, which divides r, is not read: the tables still filter
+@example(D=-5 * 1000003, r=1000003, N=1000003**2 + 10**6)
+@example(D=-5 * 1000003, r=2 * 1000003, N=4 * 1000003**2 + 10**6)
 def test_scan_matches_kernel_on_every_leg(D, r, N):
     N = max(N, r * r + 1)
     assert lab._scan(D, r, N, arith.split_d(D, r)) == kernel_counts(D, r, N)
 
 
 @settings(deadline=None, max_examples=60)
-@given(D=_prefilter_D(), r=st.sampled_from((1, 2, 15, 21, 35, 105)))
-def test_legendre_legs_vs_scalar(D, r):
-    # r puts the odd primes of D that divide it in the split's d
+@given(D=_prefilter_D())
+def test_legendre_legs_vs_scalar(D):
+    # given every odd-exponent prime of D, the product is D's full (D/p) on
+    # any prime p ≡ 1 (mod 4), not only on the legs of one r
     p = sieve_primes(20_000)
     p = p[p % 4 == 1]
-    chi = lab._legendre_legs(arith.split_d(D, r), p)
-    odd = {q for q, e in arith.factorize(D).items() if e % 2}
+    fac = arith.factorize(D)
+    odd = tuple(q for q, e in fac.items() if e % 2 and q != 2)
+    chi = lab._legendre_legs(odd, fac.get(2, 0) % 2 == 1, p)
     if odd and max(odd) > lab._SYMBOL_PRIME_MAX:
         assert chi is None
         return
