@@ -68,6 +68,15 @@ class DensityPair:
     def swapped(self) -> "DensityPair":
         return DensityPair(self.d_minus, self.d_plus)
 
+    @classmethod
+    def _unchecked(cls, d_plus: Fraction, d_minus: Fraction) -> "DensityPair":
+        # the pair of two values the closed forms make densities by
+        # construction, without __post_init__'s Fraction comparisons and sum
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "d_plus", d_plus)
+        object.__setattr__(pair, "d_minus", d_minus)
+        return pair
+
 
 @dataclass(frozen=True, slots=True)
 class ClassCounts:
@@ -228,7 +237,9 @@ def _closed_form(D: int, r: int) -> tuple[DSplit, DensityPair, bool]:
     m, swap = _normalize(r)
     split = _split_d(D, m)
     plus, minus = _odd_pair(split) if m % 2 else _even_pair(split)
-    return split, DensityPair(minus, plus) if swap else DensityPair(plus, minus), swap
+    if swap:
+        plus, minus = minus, plus
+    return split, DensityPair._unchecked(plus, minus), swap
 
 
 def density_formula(D: int, r: int) -> DensityPair:

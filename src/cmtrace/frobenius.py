@@ -13,7 +13,7 @@ import functools
 
 from .errors import PreconditionError, _as_int, _nonzero_int, _show
 from .gaussian import _split_for
-from .primes import _U64_MAX, _mod_primes, _pow_mod_array, is_prime_u64
+from .primes import _U64_MAX, _mod_primes, _mod_scalar, _pow_mod_array, is_prime_u64
 
 __all__ = [
     "NAIVE_CAP",
@@ -54,8 +54,7 @@ def _chi_table(p: int) -> np.ndarray:
     for lo in range(1, half, _BLOCK):
         sq = np.arange(lo, min(lo + _BLOCK, half), dtype=np.int64)
         sq *= sq
-        sq %= p
-        chi[sq] = 1
+        chi[_mod_scalar(sq, p)] = 1
     chi[0] = 0
     chi.setflags(write=False)
     return chi
@@ -78,13 +77,12 @@ def ap_naive(D: int, p: int) -> int:
     total = 0
     for lo in range(0, p, _BLOCK):
         x = np.arange(lo, min(lo + _BLOCK, p), dtype=np.int64)
-        # x^3 + D*x = (x^2 + D)*x, in place so each block makes two arrays,
-        # not six; every intermediate stays below 2p^2 < 2^63
-        v = x * x
-        v %= p
+        # x^3 + D*x = (x^2 + D)*x, in place: each block makes x, v and one
+        # quotient per reduction by p; every intermediate stays below 2p^2 < 2^63
+        v = _mod_scalar(x * x, p)
         v += dmod
         v *= x
-        v %= p
+        _mod_scalar(v, p)
         total += int(chi[v].sum(dtype=np.int64))
     a = -total
     if a % 2 or a * a >= 4 * p:

@@ -6,14 +6,14 @@ sieve and the Hardy-Littlewood Euler products; _unmarked, the one routine
 that marks sieve progressions, serves sieve_primes and the sweep's legs
 alike, with one slice per progression of many marks and computed index
 arrays for the rest (Crandall & Pomerance, Prime Numbers, section 3.2).
-The callers also share the exact array arithmetic below: an integer of any
-size mod an array of primes, and the elementwise modular power for moduli
-up to 10^18. This module is the one place that knows where vector
-arithmetic stops being exact (2^50): below it the power runs a
-left-to-right vector ladder over fixed windows of exponent bits, on
-residues kept signed until its last multiply, a block of elements at a
-time (Crandall & Pomerance, section 9.3); above it, one Python pow per
-element.
+The callers also share the exact array arithmetic below: an array mod one
+modulus, an integer of any size mod an array of primes, and the
+elementwise modular power for moduli up to 10^18. This module is the one
+place that knows where vector arithmetic stops being exact (2^50): below
+it the power runs a left-to-right vector ladder over fixed windows of
+exponent bits, on residues kept signed until its last multiply, a block
+of elements at a time (Crandall & Pomerance, section 9.3); above it, one
+Python pow per element.
 
 numpy is imported inside each function that uses it, so it loads on the
 first array call: is_prime_u64, and every scalar route built on it, run
@@ -129,6 +129,22 @@ def sieve_primes(bound: int) -> np.ndarray:
     primes += 1
     primes[0] = 2
     return primes
+
+
+def _mod_scalar(v: np.ndarray, m: int) -> np.ndarray:
+    """v % m in place on an int64 array v >= 0, for one int 0 < m < 2^63; returns v.
+
+    numpy takes an int64 remainder as one hardware divide per element, but
+    a floor division by one scalar as a multiply and shift (libdivide): on
+    4096 elements the remainder took 15.9 us, the floor division 4.2 us
+    and this whole reduction 7.5 us (2 vCPU). With v >= 0,
+    (v // m) * m <= v, so nothing wraps, and v - (v // m) * m is Python's
+    v % m.
+    """
+    q = v // m
+    q *= m
+    v -= q
+    return v
 
 
 def _mod_primes(c: int, p: np.ndarray) -> np.ndarray:

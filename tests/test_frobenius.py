@@ -4,6 +4,7 @@ from math import isqrt
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +44,17 @@ def test_ap_naive_vs_point_count():
         if D == 0 or D % p == 0:
             continue
         assert ap_naive(D, p) == brute_ap(D, p), (D, p)
+
+
+@pytest.mark.parametrize("p", [4093, 4099, 8191, 8209, 12289])
+def test_ap_naive_vs_point_count_across_blocks(p):
+    # ap_naive sums _BLOCK = 4096 values of x at a time: 4093 takes one
+    # block, 4099 and 8191 two, 8209 three and 12289 four, its last holding
+    # one value; D small, negative and past 2^63 in either sign
+    assert trial_is_prime(p)
+    for D in (3, -7, 2**64 + 3, -(2**70) - 1):
+        if D % p:
+            assert ap_naive(D, p) == brute_ap(D, p), (D, p)
 
 
 def test_chi_table_vs_euler():

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from cmtrace.density import density_formula, density_oracle, is_zero_pair, sigma_sums
+from cmtrace.density import DensityPair, density_formula, density_oracle, is_zero_pair, sigma_sums
 from cmtrace.hardy_littlewood import hl_delta
 from cmtrace.lab import report_to_dict, sweep
 
@@ -122,6 +122,15 @@ def test_golden_digest(section):
         f"golden section {section!r} moved; diff `--dump {section}` against the previous commit"
     )
 
+
+
+def test_closed_form_pairs_pass_the_public_check():
+    # the closed forms build their pairs without DensityPair's check; every
+    # pair of the closed_forms grid passes it when rebuilt by the public
+    # constructor, and comes out equal
+    for args in _grid(GOLDEN["closed_forms"]):
+        pair = density_formula(**args)
+        assert DensityPair(pair.d_plus, pair.d_minus) == pair, args
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="print a golden section's entries")

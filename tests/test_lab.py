@@ -33,6 +33,7 @@ from cmtrace.lab import (
 from cmtrace.primes import (
     _INT64_MOD_MAX,
     _mod_primes,
+    _mod_scalar,
     _pow_mod_array,
     _signed_mulmod,
     _unmarked,
@@ -188,6 +189,22 @@ def test_mod_primes_at_the_switch(lo):
             assert _mod_primes(c, p).tolist() == [c % m for m in p.tolist()], (c, lo)
     assert _mod_primes(np.int64(-7), p).tolist() == [-7 % m for m in p.tolist()]
 
+
+
+@given(m=st.integers(1, 2**63 - 1), extra=st.lists(st.integers(0, 2**63 - 1), max_size=20))
+@example(m=1, extra=[])
+@example(m=2, extra=[])
+@example(m=2**62, extra=[])
+@example(m=2**63 - 1, extra=[])
+def test_mod_scalar_vs_python(m, extra):
+    # v % m in place, for values beside each multiple of m up to 2m, at 0
+    # and at int64's top, and for any m that int64 holds
+    vals = [0, m - 1, m, m + 1, 2 * m - 1, 2 * m, 2**63 - 1] + extra
+    vals = [x for x in vals if x < 2**63]
+    v = np.array(vals, dtype=np.int64)
+    assert _mod_scalar(v, m) is v
+    assert v.dtype == np.int64
+    assert v.tolist() == [x % m for x in vals], m
 
 @st.composite
 def _short_powers(draw):
