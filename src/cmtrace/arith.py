@@ -10,7 +10,7 @@ and progression_set lists the residue classes the progression oracle walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .errors import PreconditionError, _as_int, _nonzero_int, _show
 from .primes import _U64_MAX, is_prime_u64
@@ -23,31 +23,38 @@ def factorize(n: int) -> dict[int, int]:
 
     The cofactor left at that bound must be 1 or a prime below 2^64;
     anything else raises PreconditionError instead of grinding on, and so
-    does a non-integer n; a cofactor that fails names factorize, whichever
-    closed form the caller called.
+    does a non-integer n.
     """
-    n = abs(_nonzero_int(n, "factorize: n"))
+    return _factorize(_nonzero_int(n, "factorize: n"), "factorize", "n")
+
+
+def _factorize(n: int, entry: str, arg: str = "D") -> dict[int, int]:
+    # factorize on a checked nonzero int; a cofactor that fails names entry and its arg
+    n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    # wheel over 6k±1
-    f = 5
-    while f * f <= n and f <= _TRIAL_BOUND:
-        for p in (f, f + 2):
+    f, pair = -1, (2, 3)
+    while pair:
+        for p in pair:
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
-        f += 6
-    if f * f <= n and (n > _U64_MAX or not is_prime_u64(n)):
-        raise PreconditionError(
-            f"factorize: n leaves the cofactor {_show(n)} after trial division to "
-            f"{_TRIAL_BOUND}, which is not a prime below 2^64"
-        )
+        f = _wheel_divisor(n, f + 6)
+        pair = (f, f + 2) if f else ()
+    # n is 1 or a prime unless it is past _TRIAL_BOUND^2
+    if n > _TRIAL_BOUND**2 and (n > _U64_MAX or not is_prime_u64(n)):
+        raise PreconditionError(f"{entry}: {arg} leaves the cofactor {_show(n)} after trial "
+                                f"division to {_TRIAL_BOUND}, which is not a prime below 2^64")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _wheel_divisor(n: int, f: int) -> int:
+    # the f of the first pair (f, f + 2), (f + 6, f + 8), ... to min(√n, 10^6) dividing n, else 0
+    for f in range(f, min(isqrt(n), _TRIAL_BOUND) + 1, 6):
+        if not (n % f and n % (f + 2)):
+            return f
+    return 0
 
 
 def v2(n: int) -> int:
@@ -65,7 +72,7 @@ def tau(D: int) -> int:
     of l is traded for l-2 (the split primes cost a class): l^(e-1) * (l-2).
     tau(±1) = 1 and tau(2^e) = 2^e.
     """
-    fac = factorize(_nonzero_int(D, "tau: D"))
+    fac = _factorize(_nonzero_int(D, "tau: D"), "tau")
     return prod(l ** (e - 1) * _tau_prime(l) for l, e in fac.items())
 
 
@@ -76,14 +83,14 @@ def _tau_prime(l: int) -> int:
 
 def euler_phi(n: int) -> int:
     out = 1
-    for p, e in factorize(_nonzero_int(n, "euler_phi: n")).items():
+    for p, e in _factorize(_nonzero_int(n, "euler_phi: n"), "euler_phi", "n").items():
         out *= p ** (e - 1) * (p - 1)
     return out
 
 
 def rad_odd(n: int) -> int:
     """Product of the distinct odd primes dividing n (1 if none)."""
-    return prod(p for p in factorize(_nonzero_int(n, "rad_odd: n")) if p != 2)
+    return prod(p for p in _factorize(_nonzero_int(n, "rad_odd: n"), "rad_odd", "n") if p != 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,7 +124,7 @@ class DShape:
 
 def shape_of(D: int) -> DShape:
     D = _nonzero_int(D, "shape_of: D")
-    fac = factorize(D)
+    fac = _factorize(D, "shape_of")
     if any(e >= 4 for e in fac.values()):
         raise PreconditionError(f"shape_of: D must be fourth-power-free, got {_show(D)}")
     return _shape(1 if D > 0 else -1, fac)
@@ -172,12 +179,12 @@ class DSplit:
 
 
 def split_d(D: int, r: int) -> DSplit:
-    return _split_d(_nonzero_int(D, "split_d: D"), _nonzero_int(r, "split_d: r"))
+    return _split_d(_nonzero_int(D, "split_d: D"), _nonzero_int(r, "split_d: r"), "split_d")
 
 
-def _split_d(D: int, r: int) -> DSplit:
-    # split_d on checked, nonzero ints
-    fac = {l: e % 4 for l, e in factorize(D).items() if e % 4}
+def _split_d(D: int, r: int, entry: str) -> DSplit:
+    # split_d on checked, nonzero ints, for the entry point named entry
+    fac = {l: e % 4 for l, e in _factorize(D, entry).items() if e % 4}
     sign = 1 if D > 0 else -1
     fac_d = {l: e for l, e in fac.items() if l != 2 and r % l == 0}
     fac_dbar = {l: e for l, e in fac.items() if l not in fac_d}
@@ -216,9 +223,8 @@ def progression_set(D: int, r: int) -> tuple[int, ...]:
 def reduce_quartic_twist(D: int) -> int:
     """Strip fourth powers from D; the curve's traces only see the result."""
     D = _nonzero_int(D, "reduce_quartic_twist: D")
-    fac = factorize(D)
     out = 1 if D > 0 else -1
-    for l, e in fac.items():
+    for l, e in _factorize(D, "reduce_quartic_twist").items():
         out *= l ** (e % 4)
     return out
 

@@ -28,7 +28,6 @@ from .arith import (
     _split_d,
     _tau_prime,
     progression_set,
-    reduce_quartic_twist,
     rho,
     v2,
 )
@@ -230,12 +229,12 @@ def _check_pair(entry: str, D, r) -> tuple[int, int]:
     return _nonzero_int(D, f"{entry}: D"), _nonzero_int(r, f"{entry}: r")
 
 
-def _closed_form(D: int, r: int) -> tuple[DSplit, DensityPair, bool]:
+def _closed_form(D: int, r: int, entry: str) -> tuple[DSplit, DensityPair, bool]:
     """The split of the reduced D against the normalized m, the densities of
     a_p = +2r and -2r for the caller's r, and whether they are m's swapped
-    (D, r checked)."""
+    (D, r checked by the entry point named entry)."""
     m, swap = _normalize(r)
-    split = _split_d(D, m)
+    split = _split_d(D, m, entry)
     plus, minus = _odd_pair(split) if m % 2 else _even_pair(split)
     if swap:
         plus, minus = minus, plus
@@ -250,7 +249,7 @@ def density_formula(D: int, r: int) -> DensityPair:
     first; both inputs must be nonzero, and D must pass factorize (at most
     one prime factor above 10^6, and that one below 2^64).
     """
-    return _closed_form(*_check_pair("density_formula", D, r))[1]
+    return _closed_form(*_check_pair("density_formula", D, r), "density_formula")[1]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +285,7 @@ def _class_walk(name: str, D: int, r: int, x_max: int) -> tuple[int, int, Iterat
     x_max = _as_int(x_max, f"{name}: x_max", lo=0)
     D = _nonzero_int(D, f"{name}: D")
     r = _nonzero_int(r, f"{name}: r", -_ORACLE_R_MAX, _ORACLE_R_MAX)
-    D0 = reduce_quartic_twist(D)
+    D0 = _split_d(D, r, name).D  # D with its fourth powers stripped
     _as_int(D0, f"{name}: D with fourth powers stripped", -_PROGRESSION_D_MAX, _PROGRESSION_D_MAX)
     ks = progression_set(D0, r)
 
@@ -419,7 +418,7 @@ def is_zero_pair(D: int, r: int) -> ZeroVerdict:
     python -O), so a silent divergence cannot hide here.
     """
     D, r = _check_pair("is_zero_pair", D, r)
-    split, pair, swap = _closed_form(D, r)
+    split, pair, swap = _closed_form(D, r, "is_zero_pair")
     hit = (_odd_zero_row if r % 2 else _even_zero_row)(split)
     row, z_plus, z_minus = hit or (None, False, False)
     if swap:  # the rows name the sides of the normalized m
@@ -443,7 +442,7 @@ def lt_constant(D: int, r: int, prime_bound: int = 1_000_000) -> float:
     """
     D, r = _check_pair("lt_constant", D, r)
     prime_bound = _as_int(prime_bound, "lt_constant: prime_bound", 3, _SIEVE_MAX)
-    return _lt_constant(density_formula(D, r), r, prime_bound)
+    return _lt_constant(_closed_form(D, r, "lt_constant")[1], r, prime_bound)
 
 
 def _lt_constant(pair: DensityPair, r: int, prime_bound: int) -> float:

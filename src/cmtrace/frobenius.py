@@ -13,7 +13,7 @@ import functools
 
 from .errors import PreconditionError, _as_int, _nonzero_int, _show
 from .gaussian import _split_for
-from .primes import _U64_MAX, _mod_primes, _mod_scalar, _pow_mod_array, is_prime_u64
+from .primes import _U64_MAX, _mod_primes, _mod_scalar, _pow_mod_array, _prime_gate
 
 __all__ = [
     "NAIVE_CAP",
@@ -69,8 +69,7 @@ def ap_naive(D: int, p: int) -> int:
     import numpy as np
     D = _nonzero_int(D, "ap_naive: D")
     p = _as_int(p, "ap_naive: p", hi=NAIVE_CAP)
-    if p < 3 or not is_prime_u64(p):
-        raise PreconditionError(f"ap_naive: p must be an odd prime, got {_show(p)}")
+    _prime_gate("ap_naive", p)
     _check_good_reduction("ap_naive", D, p)
     chi = _chi_table(p)
     dmod = D % p
@@ -98,10 +97,7 @@ def ap_binomial_residue(p: int) -> int:
     product, deliberately ignorant of Gaussian integers.
     """
     p = _as_int(p, "ap_binomial_residue: p", hi=NAIVE_CAP)
-    if p < 5 or p % 4 != 1 or not is_prime_u64(p):
-        raise PreconditionError(
-            f"ap_binomial_residue: p must be a prime ≡ 1 (mod 4), got {_show(p)}"
-        )
+    _prime_gate("ap_binomial_residue", p, split=True)
     m = (p - 1) // 4
     num = 1
     for j in range(m + 1, 2 * m + 1):
@@ -128,8 +124,8 @@ def ap_fast(D: int, p: int) -> int:
     p = _as_int(p, "ap_fast: p", 3, _U64_MAX)
     if p % 4 == 1:
         ts = _split_for("ap_fast", p, "an odd prime")
-    elif p % 4 != 3 or not is_prime_u64(p):
-        raise PreconditionError(f"ap_fast: p must be an odd prime, got {_show(p)}")
+    else:
+        _prime_gate("ap_fast", p)
     _check_good_reduction("ap_fast", D, p)
     return _ap_kernel(D, ts.alpha, ts.beta) if p % 4 == 1 else 0
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import PreconditionError, _as_int, _show
-from .primes import _U64_MAX, is_prime_u64
+from .primes import _U64_MAX, _NotPrime, _prime_gate
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,41 +187,28 @@ class TwoSquares:
             raise PreconditionError(f"TwoSquares: alpha, beta must split p, got {_show(self)}")
 
 
-class _NotSplitPrime(PreconditionError):
-    """The rejection of the two-squares stack's primality gate, which _split_for renames."""
-
-
-def _split_gate(entry: str, p) -> int:
-    # p as an int, a prime ≡ 1 (mod 4) below 2^64, or rejected by entry's name
-    p = _as_int(p, f"{entry}: p", hi=_U64_MAX)
-    if p < 5 or p % 4 != 1 or not is_prime_u64(p):
-        raise _NotSplitPrime(f"{entry}: p must be a prime ≡ 1 (mod 4), got {_show(p)}")
-    return p
-
-
 def _split_for(entry: str, p: int, want: str = "a prime ≡ 1 (mod 4)") -> "TwoSquares":
-    """two_squares(p) for the entry point named entry, which has checked p to be
-    an int below 2^64: the primality gate's rejection names entry, and any
-    other PreconditionError keeps its own name."""
+    """two_squares(p) for the entry point named entry, which has checked p to be an int
+    below 2^64: the prime gate's rejection names entry, any other keeps its own name."""
     try:
         return two_squares(p)
-    except _NotSplitPrime:
+    except _NotPrime:
         raise PreconditionError(f"{entry}: p must be {want}, got {_show(p)}") from None
 
 
 def sqrt_minus_one(p: int) -> int:
     """The smaller square root of -1 mod p, for prime p ≡ 1 (mod 4) below 2^64.
 
-    _split_gate is the one primality gate of the two-squares stack: two_squares
-    and every routine built on it reject a composite p there, under the
-    routine's own name.
+    two_squares and every routine built on it reject a composite p by
+    primes._prime_gate, under the routine's own name.
     """
-    p = _split_gate("sqrt_minus_one", p)
+    p = _as_int(p, "sqrt_minus_one: p", hi=_U64_MAX)
+    _prime_gate("sqrt_minus_one", p, split=True)
     return _sqrt_minus_one(p)
 
 
 def _sqrt_minus_one(p: int) -> int:
-    # sqrt_minus_one on a p that has passed _split_gate
+    # sqrt_minus_one on a p that has passed the prime gate
     e = (p - 1) // 4
     g = 2
     while (z := pow(g, e, p)) * z % p != p - 1:
@@ -239,7 +226,8 @@ def two_squares(p: int) -> TwoSquares:
     typed, so 13.0 never hits the entry of np.int64(13) and is rejected like
     any other non-integer.
     """
-    p = _split_gate("two_squares", p)
+    p = _as_int(p, "two_squares: p", hi=_U64_MAX)
+    _prime_gate("two_squares", p, split=True)
     a, b = p, _sqrt_minus_one(p)
     while b * b > p:
         a, b = b, a % b

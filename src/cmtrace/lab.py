@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import isqrt, log, sqrt
 
 from .arith import DSplit
-from .density import DensityPair, _check_pair, _closed_form, _lt_constant, density_formula
+from .density import DensityPair, _check_pair, _closed_form, _lt_constant
 from .errors import PreconditionError, _as_int, _show
 from .frobenius import _ap_kernel_array, _chi_table
 from .primes import _SIEVE_MAX, _mod_primes, _mod_scalar, _pow_mod_array, _unmarked, sieve_primes
@@ -83,7 +83,7 @@ def lt_predict(D: int, r: int, N: int, prime_bound: int = 1_000_000) -> float:
     D, r = _check_pair("lt_predict", D, r)
     N = _as_int(N, "lt_predict: N", 3, sys.float_info.max)
     prime_bound = _as_int(prime_bound, "lt_predict: prime_bound", 3, _SIEVE_MAX)
-    return _lt_constant(density_formula(D, r), r, prime_bound) * sqrt(N) / log(N)
+    return _lt_constant(_closed_form(D, r, "lt_predict")[1], r, prime_bound) * sqrt(N) / log(N)
 
 
 def _sqrt_minus_one_mod(q: np.ndarray) -> np.ndarray:
@@ -233,7 +233,7 @@ def sweep(D: int, r: int, N: int) -> SweepReport:
     import numpy  # noqa: F401
 
     t0 = time.perf_counter()
-    split, predicted, _ = _closed_form(D, r)
+    split, predicted, _ = _closed_form(D, r, "sweep")
     n_primes, n_plus, n_minus, n_other = _scan(D, r, N, split)
     elapsed = time.perf_counter() - t0
     return SweepReport(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import PreconditionError, _as_int
+from .errors import PreconditionError, _as_int, _show
 
 _U64_MAX = (1 << 64) - 1
 _SIEVE_MAX = 10**9  # sieve_primes' largest bound
@@ -80,6 +80,18 @@ def is_prime_u64(n: int) -> bool:
         d //= 2
         s += 1
     return not any(_mr_composite(n, a, d, s) for a in bases)
+
+
+class _NotPrime(PreconditionError):
+    """_prime_gate's rejection, which the two-squares stack renames to its caller."""
+
+
+def _prime_gate(entry: str, p: int, split: bool = False) -> None:
+    """Reject, by entry's name, a p (an int below 2^64) that is not an odd prime, or
+    with split not a prime ≡ 1 (mod 4): the one primality test of an entry's p."""
+    if p < 3 or (split and p % 4 != 1) or not is_prime_u64(p):
+        kind = "a prime ≡ 1 (mod 4)" if split else "an odd prime"
+        raise _NotPrime(f"{entry}: p must be {kind}, got {_show(p)}")
 
 
 def _unmarked(n: int, starts: np.ndarray, steps: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import enum
 from .errors import PreconditionError, _as_int, _nonzero_int, _show
 from .frobenius import _ap_kernel, _check_good_reduction
 from .gaussian import GaussianInt, _gaussian_args, _split_for, gi_mod, gi_powmod, is_primary
-from .primes import _U64_MAX, is_prime_u64
+from .primes import _U64_MAX, _prime_gate, is_prime_u64
 
 
 class QuarticValue(enum.Enum):
@@ -72,8 +72,7 @@ def legendre(a: int, p: int) -> int:
     """Quadratic residue symbol (a/p) in {-1, 0, 1} for an odd prime p."""
     a = _as_int(a, "legendre: a")
     p = _as_int(p, "legendre: p", hi=_U64_MAX)
-    if p < 3 or p % 2 == 0 or not is_prime_u64(p):
-        raise PreconditionError(f"legendre: p must be an odd prime, got {_show(p)}")
+    _prime_gate("legendre", p)
     a %= p
     if a == 0:
         return 0

@@ -3,7 +3,6 @@
 The rule: a rejected call raises PreconditionError at entry, before any work
 (under 64 kB allocated), the same way under python -O, and its message begins
 "<entry>: <arg>": the function the caller called and one of its parameters.
-BY_FACTORIZE holds the one exception.
 
 Each row of ROWS gives a valid call, the bounds of each integer parameter as
 expressions that read them from their modules, and the calls rejected
@@ -74,9 +73,16 @@ _U64 = "p must be at most 18446744073709551615, got "
 _NOT_U64 = "2**64 + 13"  # past is_prime_u64's range, rejected by the entry's own name
 _COMPOSITES = (85, 325, 1649, 18721)  # sums of two squares, ≡ 1 (mod 4)
 _OVER_BOUND = "prime_bound must be at most 1000000000, got 1000000000000$"
-_COFACTOR = "n leaves the cofactor "
+_COFACTOR = "leaves the cofactor "
+_PQ = "(10**9 + 7) * (10**9 + 9)"  # two primes past factorize's trial division to 10^6
 _EDGE = "2**1024 - 2**970"  # the least a that float() cannot hold
 _PI13 = "GI(3, 2)"  # a primary prime of norm 13
+
+
+def _cofactor(call: str, arg: str = "D") -> dict:
+    # the call at _PQ, whose cofactor is no prime: rejected by the entry's name after the
+    # trial division, in ~15 ms (~0.5 s under tracemalloc) and well under 64 kB
+    return {call.format(_PQ): f"{arg} {_COFACTOR}1000000016000000063 after"}
 
 
 def _split_rows(call: str) -> dict:
@@ -90,19 +96,21 @@ ROWS = {
     "is_prime_u64": Row("is_prime_u64(13)", {"n": Int("0", "primes._U64_MAX")}),
     "sieve_primes": Row("sieve_primes(10)", {"bound": Int(hi="primes._SIEVE_MAX")}),
     "factorize": Row("factorize(360)", {"n": Int(nonzero=True)}, {
-        "factorize((10**9 + 7) * (10**9 + 9))": _COFACTOR + "1000000016000000063 after",
-        "factorize(_HUGE + 1)": _COFACTOR + "<int of 16572 bits> after",
+        **_cofactor("factorize({})", "n"),
+        "factorize(_HUGE + 1)": "n " + _COFACTOR + "<int of 16572 bits> after",
     }),
-    "tau": Row("tau(25)", _D),
-    "euler_phi": Row("euler_phi(12)", {"n": Int(nonzero=True)}),
-    "rad_odd": Row("rad_odd(72)", {"n": Int(nonzero=True)}),
+    "tau": Row("tau(25)", _D, _cofactor("tau({})")),
+    "euler_phi": Row("euler_phi(12)", {"n": Int(nonzero=True)}, _cofactor("euler_phi({})", "n")),
+    "rad_odd": Row("rad_odd(72)", {"n": Int(nonzero=True)}, _cofactor("rad_odd({})", "n")),
     "shape_of": Row("shape_of(-21)", _D, {
+        **_cofactor("shape_of({})"),
         **{f"shape_of({D})": f"D must be fourth-power-free, got {D}$"
            for D in (16, -16, 48, 81, 64)},
         "shape_of(2**20000)": "D must be fourth-power-free, got <int of 20001 bits>",
     }),
     "split_d": Row("split_d(3, 1)", _DR, {
-        "split_d(_HUGE + 1, 1)": _COFACTOR + "<int of 16572 bits>",
+        **_cofactor("split_d({}, 1)"),
+        "split_d(_HUGE + 1, 1)": "D " + _COFACTOR + "<int of 16572 bits>",
     }),
     "rho": Row("rho(3)", {"r": Int()}),
     "progression_set": Row("progression_set(7, 1)", {
@@ -113,19 +121,22 @@ ROWS = {
         "progression_set(1.5, 1)": "D must be an integer, got 1.5",
         "progression_set(10**12, 1)": "D must be at most 100000, got 1000000000000",
     }),
-    "reduce_quartic_twist": Row("reduce_quartic_twist(32)", _D),
+    "reduce_quartic_twist": Row("reduce_quartic_twist(32)", _D,
+                                _cofactor("reduce_quartic_twist({})")),
     "density_formula": Row("density_formula(2, 1)", _DR, {
         "density_formula(5, 0)": "r must be nonzero, got 0",
         "density_formula(3, 1.5)": "r must be an integer, got 1.5",
         "density_formula(3, '1')": "r must be an integer, got '1'",
-        "density_formula((10**9 + 7) * (10**9 + 9), 1)": _COFACTOR + "1000000016000000063",
-        "density_formula(_HUGE + 1, 1)": _COFACTOR + "<int of 16572 bits>",
+        **_cofactor("density_formula({}, 1)"),
+        "density_formula(_HUGE + 1, 1)": "D " + _COFACTOR + "<int of 16572 bits>",
     }),
     "is_zero_pair": Row("is_zero_pair(2, 1)", _DR, {
         "is_zero_pair(3, 2.0)": "r must be an integer, got 2.0",
-        "is_zero_pair(_HUGE + 1, 1)": _COFACTOR + "<int of 16572 bits>",
+        **_cofactor("is_zero_pair({}, 1)"),
+        "is_zero_pair(_HUGE + 1, 1)": "D " + _COFACTOR + "<int of 16572 bits>",
     }),
     "density_oracle": Row("density_oracle(5, 1, 100000)", _ORACLE, {
+        **_cofactor("density_oracle({}, 1)"),
         "density_oracle(2.5, 1)": "D must be an integer, got 2.5",
         "density_oracle('2', 1)": "D must be an integer, got '2'",
         "density_oracle(3, 1.0)": "r must be an integer, got 1.0",
@@ -138,6 +149,7 @@ ROWS = {
             "x_max = 0 finds no prime representative for class k=4 of (D=<int of 20002 bits>, r=1)",
     }),
     "sigma_sums": Row("sigma_sums(5, 1, 100000)", _ORACLE, {
+        **_cofactor("sigma_sums({}, 1)"),
         "sigma_sums(-21, 1, x_max=1.5)": "x_max must be an integer, got 1.5",
         "sigma_sums(10**9 + 7, 1)": "D with fourth powers stripped must be at most 100000, got",
         "sigma_sums(5, 10**30)": "r must be at most 4294967295, got 1" + "0" * 30 + "$",
@@ -149,6 +161,7 @@ ROWS = {
     "lt_constant": Row("lt_constant(-21, 10**10, 1000)", {
         **_DR, "prime_bound": Int("3", "primes._SIEVE_MAX"),
     }, {
+        **_cofactor("lt_constant({}, 1)"),
         "lt_constant(3, 1.5)": "r must be an integer, got 1.5",
         "lt_constant(1, 1, 10**12)": _OVER_BOUND,
         # the +2r density of (1, 3) is 0, and its bound is checked all the same
@@ -316,6 +329,7 @@ ROWS = {
     "lt_predict": Row("lt_predict(1, 1, 100, 1000000)", {
         **_DR, "N": Int("3", "sys.float_info.max"), "prime_bound": Int("3", "primes._SIEVE_MAX"),
     }, {
+        **_cofactor("lt_predict({}, 1, 100)"),
         "lt_predict(3, 1, 10.5)": "N must be an integer, got 10.5",
         "lt_predict(-21, 1, 10**6, prime_bound=10**12)": _OVER_BOUND,
         # the +2r density of (1, 3) is 0, and its bound is checked all the same
@@ -326,6 +340,7 @@ ROWS = {
         # N's lower bound is r^2 + 1, 2 at r = 1
         **_DR, "N": Int("2", "lab._N_MAX"),
     }, {
+        **_cofactor("sweep({}, 1, 100)"),
         "sweep(2.5, 1, 10**4)": "D must be an integer, got 2.5",
         "sweep('2', 1, 10**4)": "D must be an integer, got '2'",
         "sweep(1, 5, 25)": "N must be at least 26, got 25",
@@ -358,18 +373,10 @@ EXEMPT = {
     **dict.fromkeys(("NoRepresentativeFound", "PreconditionError"), "an exception raised here"),
 }
 
-# The one exception to the rule, until factorize splits every cofactor below
-# 2^64 (ROADMAP item 14): a D that leaves a cofactor past the trial division
-# to 10^6 that is no prime below 2^64 is rejected by factorize's name.
-BY_FACTORIZE = {
-    "split_d(_HUGE + 1, 1)",
-    "density_formula((10**9 + 7) * (10**9 + 9), 1)",
-    "density_formula(_HUGE + 1, 1)",
-    "is_zero_pair(_HUGE + 1, 1)",
-}
-# rejected only after factorize's trial division to 10^6 (1.3 s on 5,000 digits),
-# so past any allocation bound, and run once
-AFTER_WORK = BY_FACTORIZE | {"factorize((10**9 + 7) * (10**9 + 9))", "factorize(_HUGE + 1)"}
+# rejected only after the trial division to 10^6 on 5,000 digits (1.3 s each), so
+# past any allocation bound, and run once
+AFTER_WORK = {"factorize(_HUGE + 1)", "split_d(_HUGE + 1, 1)", "density_formula(_HUGE + 1, 1)",
+              "is_zero_pair(_HUGE + 1, 1)"}
 
 # CLI requests that exit 2 with stdout empty; stderr is "error: " and this
 HUGE_ARG = str(10**4000)  # the cell count and r^2 + 1 pass Python's print limit
@@ -379,6 +386,8 @@ CLI = {
     "ap --D 3 --p 10000019 --method naive": "ap_naive: p must be at most 10000000, got 10000019",
     "ap --D 3 --p 0 --method fast": "ap_fast: p must be at least 3, got 0",
     "density --D 0 --r 1": "density_formula: D must be nonzero, got 0",
+    "density --D 1000000016000000063 --r 1 --mode formula":
+        "density_formula: D leaves the cofactor 1000000016000000063 after",
     "density --D 5 --r 4294967296 --mode oracle":
         "density_oracle: r must be at most 4294967295, got 4294967296",
     "density --D 1000000007 --r 1 --mode oracle":
@@ -386,6 +395,8 @@ CLI = {
     "sweep --D 1 --r 1 --N 1000000000000000001":
         "sweep: N must be at most 1000000000000000000, got 1000000000000000001",
     "sweep --D 1 --r HUGE_ARG --N 5": "sweep: N must be at least <int of ",
+    "sweep --D 1000000016000000063 --r 1 --N 1000000":
+        "sweep: D leaves the cofactor 1000000016000000063 after",
     "hl --a 1 --b 0 --c -1": "hl_delta: f = HLPoly(a=1, b=0, c=-1) is not admissible",
     "hl --a 1 --b 0 --c 1 --bound 10000000000":
         "hl_delta: prime_bound must be at most 1000000000, got 10000000000$",
@@ -463,8 +474,7 @@ CASES = {
 
 
 def _expected(call: str) -> str:
-    entry, message = CASES[call]
-    return f"{'factorize' if call in BY_FACTORIZE else entry}: {message}"
+    return "{}: {}".format(*CASES[call])
 
 
 def _matches(message: str, want: str) -> bool:
@@ -482,7 +492,7 @@ def test_rejected_by_the_entry_called(call):
     entry, message = CASES[call]
     params = _parts(ROWS[entry])[2]
     # the message names one of the entry's parameters first
-    assert call in BY_FACTORIZE or message.split()[0].strip(",:") in params
+    assert message.split()[0].strip(",:") in params
     t0 = time.perf_counter()
     if call in AFTER_WORK:
         got = _message(call)

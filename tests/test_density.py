@@ -111,7 +111,6 @@ def test_density_formula_twist_invariance():
 
 
 # the ids of earlier rejection tests, now run from the contract table
-test_density_formula_rejects = legacy("density_formula")
 test_lt_constant_rejects_bad_bound = legacy("lt_constant")
 test_oracles_reject_r_from_2_32 = legacy(ids=["density_oracle", "sigma_sums"])
 

@@ -23,7 +23,6 @@ from cmtrace.gaussian import two_squares
 from cmtrace.primes import is_prime_u64
 from cmtrace.residue_symbols import FourClass, quartic_class_of
 from oracles import brute_ap, trial_is_prime
-from test_contracts import legacy
 
 PRIMES_1K = [p for p in range(3, 1000) if trial_is_prime(p)]
 
@@ -68,14 +67,6 @@ def test_chi_table_vs_euler():
         chi = _chi_table(p)
         assert chi.dtype == np.int8 and not chi.flags.writeable
         assert chi.tolist() == want, p
-
-
-# the ids of earlier rejection tests, now run from the contract table
-test_ap_naive_rejects = legacy("ap_naive")
-test_ap_routes_reject_composite_p = legacy("ap_naive", "ap_fast", "ap_binomial_residue")
-test_ap_fast_rejects = legacy("ap_fast", ids=[
-    "13-13", "2--3", "2-13.0", "2-15", "2-18446744073709551617", "2-1", "2-4", "2-85",
-])
 
 
 def test_ap_binomial_examples():

@@ -800,7 +800,7 @@ def test_drivers_never_split(monkeypatch, r):
 @pytest.mark.parametrize("D, r", [(-21, 1), (-46, 10), (10**18 + 3, 1), (2 * (10**12 + 39), 2)])
 def test_density_factors_D_once(monkeypatch, D, r):
     # split_d strips fourth powers from the one factorization it splits
-    log = _log_calls(monkeypatch, arith.factorize)
+    log = _log_calls(monkeypatch, arith._factorize)
     density_formula(D, r)
     assert len(log) == 1
     is_zero_pair(D, r)
@@ -809,7 +809,7 @@ def test_density_factors_D_once(monkeypatch, D, r):
 
 def test_sweep_factors_D_once(monkeypatch):
     # the Lang-Trotter prediction reuses the sweep's density pair
-    log = _log_calls(monkeypatch, arith.factorize)
+    log = _log_calls(monkeypatch, arith._factorize)
     sweep(-21, 2, 10**5)
     assert len(log) == 1
 

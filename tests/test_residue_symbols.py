@@ -76,10 +76,6 @@ test_quartic_symbol_rejects_bad_modulus = legacy("quartic_symbol")
 test_quartic_symbol_wants_gaussian_ints = legacy(ids=["quartic_symbol", "reciprocity_check"])
 test_reciprocity_check_rejects = legacy("reciprocity_check", ids=["bad0", "bad1", "bad2", "bad3"])
 test_result_guards_raise = legacy("TwoSquares", "DensityPair", "quartic_class_of", "two_squares")
-test_two_squares_stack_rejects_composites = legacy(
-    "two_squares", "sqrt_minus_one", "two_quartic_class", "primary_prime_above",
-    "quartic_class_of", "quartic_value_of", ids=["85", "325", "1649", "18721", str(2**64 + 1)],
-)
 
 
 def test_quartic_symbol_coprimality_vs_gcd():
