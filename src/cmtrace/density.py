@@ -64,9 +64,6 @@ class DensityPair:
                 f"DensityPair: d_plus, d_minus must be densities, got {_show(self)}"
             )
 
-    def swapped(self) -> "DensityPair":
-        return DensityPair(self.d_minus, self.d_plus)
-
     @classmethod
     def _unchecked(cls, d_plus: Fraction, d_minus: Fraction) -> "DensityPair":
         # the pair of two values the closed forms make densities by

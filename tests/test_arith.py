@@ -20,7 +20,6 @@ from cmtrace.arith import (
 from cmtrace.density import _class_walk
 from cmtrace.errors import PreconditionError
 from oracles import trial_is_prime
-from test_contracts import legacy
 
 
 def test_factorize():
@@ -146,9 +145,6 @@ def test_shape_roundtrip():
             continue
         assert s.value == D
         count += 1
-
-
-test_shape_rejects_fourth_powers = legacy("shape_of")  # an earlier id, run from the contract table
 
 
 def test_split_examples():

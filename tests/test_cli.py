@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import cmtrace
 from cmtrace import cli
 from cmtrace.cli import build_parser, main
-from test_contracts import legacy
 
 SRC = str(Path(cmtrace.__file__).resolve().parent.parent)
 
@@ -153,17 +152,6 @@ def test_zero_scan(capsys):
     assert "vanishing pairs" in out
 
 
-# the ids of earlier exit-2 tests, now run from the contract table
-test_ap_bad_prime_exits_2 = legacy("ap")
-test_density_zero_D_exits_2 = legacy("density")
-test_density_oracle_r_from_2_32_exits_2 = legacy("density")
-test_hl_inadmissible_exits_2 = legacy("hl")
-test_hl_bound_over_sieve_cap_exits_2 = legacy("hl")
-test_zero_scan_cap_exits_2 = legacy("zero-scan")
-test_zero_scan_huge_grid_exits_2 = legacy("zero-scan")
-test_sweep_huge_r_exits_2 = legacy("sweep")
-
-
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -274,6 +262,10 @@ try:
     cmtrace.hl_delta((1, 0, 1), 10**10)
 except cmtrace.PreconditionError:
     pass
+try:
+    cmtrace.sweep((10**9 + 7) * (10**9 + 9), 1, 100)
+except cmtrace.PreconditionError:
+    pass
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         cli.main(["--version"])
@@ -282,6 +274,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["density", "--D", "-21", "--r", "1"]) == 0
     assert cli.main(["zero-scan", "--dmax", "5", "--rmax", "5"]) == 0
     assert cli.main(["ap", "--D", "3", "--p", "13", "--method", "fast"]) == 0
+    assert cli.main(["sweep", "--D", "1000000016000000063", "--r", "1", "--N", "1000000"]) == 2
 assert "numpy" not in sys.modules, "a scalar route loaded numpy"
 assert cmtrace.sweep(-21, 1, 10**8).n_primes == 840
 assert "numpy" in sys.modules

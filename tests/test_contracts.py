@@ -11,20 +11,17 @@ bounds the checks generate, for each integer parameter, a float, a
 half-integer and a string, a 0 where it must be nonzero, and the values just
 past each bound and a 5,000-digit one past it (shown by its bit length);
 numpy integers in the integer parameters must give the int result. CLI holds
-the requests that exit 2 with stdout empty. legacy() keeps the ids of the
-earlier rejection tests running from this table.
+the requests that exit 2 with stdout empty.
 """
 
 import ast
 import contextlib
 import dataclasses
-import functools
 import inspect
 import io
 import itertools
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -587,36 +584,9 @@ def test_readme_states_each_cap(cap):
     assert f"`{cap}` = {_render(eval(cap, NS))}" in readme
 
 
-@functools.cache
-def _checked(name: str) -> None:
-    # every check of the table on one entry point or CLI subcommand; a pass
-    # is remembered, so the ids legacy() keeps rerun each name's rows once,
-    # not once per id
-    assert name in ROWS or name in {argv.split()[0] for argv in CLI}, name
-    for argv in (a for a in CLI if a.split()[0] == name):
-        test_cli_rejection_exits_2(argv)
-    for call, (entry, _) in CASES.items():
-        if entry == name and call not in AFTER_WORK:
-            assert _matches(_message(call), _expected(call)), call
-    if name in ROWS and ROWS[name].ints:
-        test_numpy_integers_give_the_int_result(name)
-
-
-def legacy(*names: str, ids: list[str] | None = None):
-    """A test under the id of an earlier rejection test, kept so that each id of
-    the suite still runs: it checks the rows of the entry points or CLI
-    subcommands it names, or, given ids, of the entry point each id begins
-    with. The calls rejected only after factorize's trial division run only in
-    test_rejected_by_the_entry_called."""
-    def run(case: str = "") -> None:
-        for name in names or [re.split(r"[ \-(]", case)[0]]:
-            _checked(name)
-
-    if ids is None:
-        return lambda: run()
-
-    @pytest.mark.parametrize("case", ids)
-    def test(case):
-        run(case)
-
-    return test
+def test_every_entry_point_has_a_contract_row():
+    # a new public callable gets the checks of this table by a row, or is
+    # exempt from them for a stated reason
+    public = {name for name in cmtrace.__all__ if callable(getattr(cmtrace, name))}
+    assert sorted(public - set(ROWS) - set(EXEMPT)) == []
+    assert sorted(set(EXEMPT) - public) == [] and sorted(set(EXEMPT) & set(ROWS)) == []

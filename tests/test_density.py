@@ -24,7 +24,6 @@ from cmtrace.density import (
 from cmtrace.errors import NoRepresentativeFound, PreconditionError
 from cmtrace.gaussian import GaussianInt
 from cmtrace.primes import is_prime_u64
-from test_contracts import legacy
 from test_lab import _log_calls
 
 
@@ -108,11 +107,6 @@ def test_density_formula_twist_invariance():
         base = density_formula(D, r)
         assert density_formula(D * 16, r) == base
         assert density_formula(D * 81, r) == base
-
-
-# the ids of earlier rejection tests, now run from the contract table
-test_lt_constant_rejects_bad_bound = legacy("lt_constant")
-test_oracles_reject_r_from_2_32 = legacy(ids=["density_oracle", "sigma_sums"])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from cmtrace.gaussian import (
 )
 from cmtrace.residue_symbols import quartic_class_of
 from oracles import exhaustive_two_squares, trial_is_prime
-from test_contracts import legacy
 
 
 def test_mul_basics():
@@ -41,11 +40,6 @@ def test_divmod_examples():
     # exact division leaves no remainder
     q, r = gi_divmod(GaussianInt(13, 0), GaussianInt(-3, 2))
     assert r == GaussianInt(0, 0) and q == GaussianInt(-3, -2)
-
-
-# the ids of earlier rejection tests, now run from the contract table
-test_divmod_by_zero = legacy("gi_divmod")
-test_make_primary_rejects = legacy("make_primary")
 
 
 def test_divmod_random():

@@ -14,7 +14,6 @@ from cmtrace.hardy_littlewood import (
 )
 from cmtrace.primes import is_prime_u64
 from oracles import slow_hl_delta, slow_prime_count_quadratic
-from test_contracts import legacy
 from test_lab import _log_calls
 
 
@@ -112,13 +111,6 @@ def test_delta_memo():
         with pytest.raises(PreconditionError):
             hl_delta((1, 0, 49), 2)
     assert _hl_delta.cache_info().currsize == 1
-
-
-# the ids of earlier rejection tests, now run from the contract table
-test_delta_rejects = legacy("hl_delta")
-test_delta_rejects_a_past_the_largest_float = legacy("hl_delta")
-test_delta_rejects_bound_over_sieve_cap = legacy("hl_delta")
-test_count_negative_n_rejects = legacy("hl_count")
 
 
 def test_delta_at_the_largest_float():

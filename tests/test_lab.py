@@ -41,7 +41,6 @@ from cmtrace.primes import (
     sieve_primes,
 )
 from oracles import brute_ap, primes_up_to, trial_is_prime
-from test_contracts import legacy
 
 
 # ---------------------------------------------------------------------------
@@ -834,50 +833,38 @@ def test_each_trace_route_tests_p_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the ids of earlier rejection tests, now run from the contract table
+# direct calls of the routes that take D, or a prime p alone or after D = 3
 
-_P_ROUTES = ("is_prime_u64", "sqrt_minus_one", "two_squares", "primary_prime_above",
-             "two_quartic_class", "ap_naive", "ap_binomial_residue")
-_U64_ROUTES = ("ap_fast", "two_squares", "sqrt_minus_one", "primary_prime_above", "legendre",
-               "quartic_class_of", "two_quartic_class")
-test_is_prime_u64_rejects = legacy("is_prime_u64")
-test_sweep_rejects = legacy("sweep")
-test_lt_predict_rejects = legacy("lt_predict")
-test_report_emit_rejects = legacy("report_emit")
-test_numpy_integer_D_accepted = legacy(
-    "ap_naive", "ap_fast", "density_formula", "sweep", "density_oracle", "sigma_sums", "lt_constant"
-)
-test_non_integer_D_rejected = legacy(ids=[
-    f"{e}-{D}" for D in ("2.5", "2")
-    for e in ("ap_naive", "ap_fast", "density_formula", "density_oracle", "is_zero_pair", "sweep")
-])
-test_bad_argument_rejected = legacy(ids=[
-    "ap_fast p='13'", "ap_fast p=0", "density_formula r='1'", "density_formula r=1.5",
-    "density_oracle D=10^9+7", "density_oracle r=1.0", "density_oracle x_max=1.5",
-    "hl_count 6.3*10^7 values around the vertex", "hl_count n=10^40", "is_zero_pair r=2.0",
-    "lt_constant r=1.5", "lt_predict N=10.5", "lt_predict N=2^1024",
-    "lt_predict bound=2, zero density", "progression_set D='7'", "progression_set D=1.5",
-    "progression_set D=10^12", "progression_set r=1.5", "quartic_class_of p='13'",
-    "quartic_value_of p='13'", "sieve_primes bound=10.5", "sigma_sums D=10^9+7",
-    "sigma_sums x_max=1.5", "split_d r=1.5",
-])
-test_guard_raises_before_work = legacy(ids=[
-    "ap_binomial_residue p=10000121 > 10^7", "density_oracle(0, 1)", "euler_phi(0)",
-    "gi_gcd(0, 0)", "gi_powmod exp=-1", "progression_set(0, 1)", "rad_odd(0)", "shape_of(0)",
-    "sieve_primes(10^9 + 1)", "split_d D=0", "split_d r=0", "tau(0)",
-])
-test_huge_value_rejected_by_its_message = legacy(ids=[
-    "ap_fast", "ap_naive", "density_formula", "density_oracle", "factorize", "hl_count",
-    "hl_delta", "is_prime_u64", "is_zero_pair", "legendre", "lt_predict", "progression_set",
-    "quartic_class_of", "shape_of", "sieve_primes", "split_d", "sqrt_minus_one", "sweep",
-    "two_squares",
-])
-test_p_past_u64_rejected_by_its_entry = legacy(ids=[
-    f"{e}-{p}" for p in ("2^64+13", "5001 digits") for e in _U64_ROUTES
-])
-test_prime_argument_types = legacy(ids=[
-    f"{e}-{p}" for p in ("np.int64(13)", "np.uint64(13)", "13.0", "'13'") for e in _P_ROUTES
-])
+_D_ARGS = {"ap_naive": (13,), "ap_fast": (13,), "density_formula": (1,), "density_oracle": (1,),
+           "is_zero_pair": (1,), "sweep": (1, 10**4)}
+_P_ROUTES = {e: getattr(cmtrace, e) for e in ("is_prime_u64", "sqrt_minus_one", "two_squares",
+             "primary_prime_above", "two_quartic_class", "ap_binomial_residue")} | {
+    e: lambda p, f=getattr(cmtrace, e): f(3, p) for e in ("ap_naive", "ap_fast", "legendre", "quartic_class_of")}
+
+
+@pytest.mark.parametrize("D", [2.5, "2"])
+@pytest.mark.parametrize("route", list(_D_ARGS))
+def test_non_integer_D_rejected(route, D):
+    with pytest.raises(PreconditionError, match=rf"^{route}: D must be an integer, got "):
+        getattr(cmtrace, route)(D, *_D_ARGS[route])
+
+
+@pytest.mark.parametrize("p", [2**64 + 13, 10**5000 + 1], ids=["2^64+13", "5001 digits"])
+@pytest.mark.parametrize("route", sorted(set(_P_ROUTES) - {"is_prime_u64", "ap_naive", "ap_binomial_residue"}))
+def test_p_past_u64_rejected_by_its_entry(route, p):
+    with pytest.raises(PreconditionError, match=rf"^{route}: p must be at most {2**64 - 1}, got "):
+        _P_ROUTES[route](p)
+
+
+@pytest.mark.parametrize("p", [np.int64(13), np.uint64(13), 13.0, "13"], ids=repr)
+@pytest.mark.parametrize("route", list(_P_ROUTES))
+def test_prime_argument_types(route, p):
+    # a numpy integer p gives the int result; anything else is rejected
+    if isinstance(p, np.integer):
+        assert repr(_P_ROUTES[route](p)) == repr(_P_ROUTES[route](13))
+    else:
+        with pytest.raises(PreconditionError, match=rf"^{route}: [np] must be an integer, got "):
+            _P_ROUTES[route](p)
 
 
 def test_cm_threads_is_one():

@@ -113,13 +113,3 @@ def test_every_public_name_resolves():
         if not hasattr(mod, name)
     ]
     assert missing == []
-
-
-def test_every_entry_point_has_a_contract_row():
-    # a new public callable gets the checks of tests/test_contracts.py by a row
-    # there, or is exempt from them for a stated reason
-    from test_contracts import EXEMPT, ROWS
-
-    public = {name for name in cmtrace.__all__ if callable(getattr(cmtrace, name))}
-    assert sorted(public - set(ROWS) - set(EXEMPT)) == []
-    assert sorted(set(EXEMPT) - public) == [] and sorted(set(EXEMPT) & set(ROWS)) == []

@@ -31,7 +31,6 @@ from cmtrace.residue_symbols import (
     two_quartic_class,
 )
 from oracles import trial_is_prime
-from test_contracts import legacy
 
 
 def test_legendre_examples():
@@ -69,13 +68,6 @@ def test_quartic_symbol_examples():
     assert quartic_symbol(GaussianInt(1, 0), GaussianInt(3, 2)) == QuarticValue.ONE
     # -7 is primary of norm 49; 2 is a quartic residue there
     assert quartic_symbol(GaussianInt(2, 0), GaussianInt(-7, 0)) == QuarticValue.ONE
-
-
-# the ids of earlier rejection tests, now run from the contract table
-test_quartic_symbol_rejects_bad_modulus = legacy("quartic_symbol")
-test_quartic_symbol_wants_gaussian_ints = legacy(ids=["quartic_symbol", "reciprocity_check"])
-test_reciprocity_check_rejects = legacy("reciprocity_check", ids=["bad0", "bad1", "bad2", "bad3"])
-test_result_guards_raise = legacy("TwoSquares", "DensityPair", "quartic_class_of", "two_squares")
 
 
 def test_quartic_symbol_coprimality_vs_gcd():
