@@ -98,9 +98,9 @@ class DShape:
     """Structure of a fourth-power-free integer.
 
     Odd primes are binned by exponent: p_list (exponent 1), q_list (2),
-    l_list (3). r_counts / t_counts histogram the exponent-1 / exponent-3
-    primes by residue mod 8. s is the number of exponent-2 primes, r and t
-    the sizes of the other two bins.
+    l_list (3). The shape holds only the bins, so it hashes; r, s and t are
+    their sizes, and r_counts / t_counts histogram the exponent-1 /
+    exponent-3 primes by residue mod 8, a fresh dict on each read.
     """
 
     sign: int
@@ -108,11 +108,26 @@ class DShape:
     p_list: tuple[int, ...]
     q_list: tuple[int, ...]
     l_list: tuple[int, ...]
-    r_counts: dict[int, int]
-    t_counts: dict[int, int]
-    s: int
-    r: int
-    t: int
+
+    @property
+    def r(self) -> int:
+        return len(self.p_list)
+
+    @property
+    def s(self) -> int:
+        return len(self.q_list)
+
+    @property
+    def t(self) -> int:
+        return len(self.l_list)
+
+    @property
+    def r_counts(self) -> dict[int, int]:
+        return {i: sum(l & 7 == i for l in self.p_list) for i in (1, 3, 5, 7)}
+
+    @property
+    def t_counts(self) -> dict[int, int]:
+        return {i: sum(l & 7 == i for l in self.l_list) for i in (1, 3, 5, 7)}
 
     @property
     def value(self) -> int:
@@ -133,31 +148,11 @@ def shape_of(D: int) -> DShape:
 def _shape(sign: int, fac: dict[int, int]) -> DShape:
     """DShape of sign * prod(l**e for l, e in fac), exponents below 4, with
     fac's primes in increasing order, as factorize gives them."""
-    p_list, q_list, l_list = [], [], []
-    r_counts, t_counts = {1: 0, 3: 0, 5: 0, 7: 0}, {1: 0, 3: 0, 5: 0, 7: 0}
+    bins = {1: [], 2: [], 3: []}
     for l, e in fac.items():
-        if l == 2:
-            continue
-        if e == 1:
-            p_list.append(l)
-            r_counts[l & 7] += 1
-        elif e == 2:
-            q_list.append(l)
-        else:
-            l_list.append(l)
-            t_counts[l & 7] += 1
-    return DShape(
-        sign=sign,
-        sigma=fac.get(2, 0),
-        p_list=tuple(p_list),
-        q_list=tuple(q_list),
-        l_list=tuple(l_list),
-        r_counts=r_counts,
-        t_counts=t_counts,
-        s=len(q_list),
-        r=len(p_list),
-        t=len(l_list),
-    )
+        if l != 2:
+            bins[e].append(l)
+    return DShape(sign, fac.get(2, 0), tuple(bins[1]), tuple(bins[2]), tuple(bins[3]))
 
 
 @dataclass(frozen=True, slots=True)

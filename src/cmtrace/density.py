@@ -64,15 +64,6 @@ class DensityPair:
                 f"DensityPair: d_plus, d_minus must be densities, got {_show(self)}"
             )
 
-    @classmethod
-    def _unchecked(cls, d_plus: Fraction, d_minus: Fraction) -> "DensityPair":
-        # the pair of two values the closed forms make densities by
-        # construction, without __post_init__'s Fraction comparisons and sum
-        pair = object.__new__(cls)
-        object.__setattr__(pair, "d_plus", d_plus)
-        object.__setattr__(pair, "d_minus", d_minus)
-        return pair
-
 
 @dataclass(frozen=True, slots=True)
 class ClassCounts:
@@ -147,7 +138,7 @@ def _T2(split: DSplit) -> int:
 
 def _odd_exp(sh: DShape, *residues: int) -> int:
     # the primes of exponent 1 or 3 in sh that lie in the given classes mod 8
-    return sum(sh.r_counts[i] + sh.t_counts[i] for i in residues)
+    return sum(l & 7 in residues for l in sh.p_list + sh.l_list)
 
 
 def _base(split: DSplit, sign: int = 1) -> Fraction:
@@ -235,7 +226,7 @@ def _closed_form(D: int, r: int, entry: str) -> tuple[DSplit, DensityPair, bool]
     plus, minus = _odd_pair(split) if m % 2 else _even_pair(split)
     if swap:
         plus, minus = minus, plus
-    return split, DensityPair._unchecked(plus, minus), swap
+    return split, DensityPair(plus, minus), swap
 
 
 def density_formula(D: int, r: int) -> DensityPair:

@@ -32,7 +32,7 @@ from math import isqrt, log, sqrt
 from .arith import DSplit
 from .density import DensityPair, _check_pair, _closed_form, _lt_constant
 from .errors import PreconditionError, _as_int, _show
-from .frobenius import _ap_kernel_array, _chi_table
+from .frobenius import _SYMBOL_PRIME_MAX, _ap_kernel_array, _chi_table
 from .primes import _SIEVE_MAX, _mod_primes, _mod_scalar, _pow_mod_array, _unmarked, sieve_primes
 
 __all__ = [
@@ -44,13 +44,6 @@ __all__ = [
 
 
 _N_MAX = _SIEVE_MAX**2  # the sieving primes go to isqrt(N)
-# _legendre_legs reads (l/p) from l's Legendre table up to this l, and past
-# it _scan powers every leg. A table costs ~2.4 ns and 1 byte per entry to
-# build (0.23 ms at 10^5, 2.4 ms at 10^6, 2 vCPU), and one prefiltered
-# sweep at N = 10^10 saves ~0.7 ms of powers. The saving grows with N and
-# the table's cost does not, so this is an estimate at one N, not a
-# measured crossover
-_SYMBOL_PRIME_MAX = 10**5
 
 
 def _sig6(x: float) -> float:

@@ -1,11 +1,10 @@
+import dataclasses
 import random
 from math import gcd
 
 import pytest
 
 from cmtrace.arith import (
-    DShape,
-    _shape,
     euler_phi,
     factorize,
     progression_set,
@@ -92,43 +91,59 @@ def test_shape_of_examples():
     assert s.t_counts[5] == 1
 
 
-def _shape_by_sums(sign, fac):
-    # DShape with each residue count taken by its own sum: the reference
-    # for the one pass per list that _shape makes
-    buckets = {1: [], 2: [], 3: []}
-    for l, e in sorted(fac.items()):
-        if l != 2:
-            buckets[e].append(l)
-    p_list, q_list, l_list = (tuple(buckets[e]) for e in (1, 2, 3))
-    return DShape(
-        sign=sign,
-        sigma=fac.get(2, 0),
-        p_list=p_list,
-        q_list=q_list,
-        l_list=l_list,
-        r_counts={i: sum(1 for l in p_list if l % 8 == i) for i in (1, 3, 5, 7)},
-        t_counts={i: sum(1 for l in l_list if l % 8 == i) for i in (1, 3, 5, 7)},
-        s=len(q_list),
-        r=len(p_list),
-        t=len(l_list),
-    )
-
-
 def test_shape_vs_sums():
-    # both shapes of split_d over criterion 06's grid, dict key order included
+    # both shapes of split_d over criterion 06's grid: the bins against the
+    # primes of each part by exponent, and the five counts derived from them
+    # against their own sums, dict key order included
     cases = 0
     for D in range(-50, 51):
         if D == 0 or reduce_quartic_twist(D) != D:
             continue
-        fac = factorize(D)
+        fac, sign_D = factorize(D), 1 if D > 0 else -1
         for r in range(1, 11):
+            sp = split_d(D, r)
             fac_d = {l: e for l, e in fac.items() if l != 2 and r % l == 0}
             fac_dbar = {l: e for l, e in fac.items() if l not in fac_d}
-            for sign, part in ((1, fac_d), (1 if D > 0 else -1, fac_dbar)):
-                got, want = _shape(sign, part), _shape_by_sums(sign, part)
-                assert got == want and repr(got) == repr(want), (D, r)
+            for sh, sign, part in ((sp.shape_d, 1, fac_d), (sp.shape_dbar, sign_D, fac_dbar)):
+                bins = tuple(
+                    tuple(l for l, e in part.items() if l != 2 and e == k) for k in (1, 2, 3)
+                )
+                assert (sh.sign, sh.sigma) == (sign, part.get(2, 0)), (D, r)
+                assert (sh.p_list, sh.q_list, sh.l_list) == bins, (D, r)
+                assert (sh.r, sh.s, sh.t) == tuple(map(len, bins)), (D, r)
+                for counts, primes in ((sh.r_counts, bins[0]), (sh.t_counts, bins[2])):
+                    want = [(i, sum(1 for l in primes if l % 8 == i)) for i in (1, 3, 5, 7)]
+                    assert list(counts.items()) == want, (D, r)
                 cases += 1
     assert cases > 1000
+
+
+_QUARTIC_FREE = [D for D in range(-2000, 2001) if D and reduce_quartic_twist(D) == D]
+_RS = [r for r in range(-30, 31) if r]
+
+
+def test_shapes_and_splits_hash_by_value():
+    # every split of the grid hashes and is a dict key of its own; the split
+    # of 16*D, built from another factorization, is equal to D's, hashes
+    # equal and finds it, for every D at an r that cycles through the grid's
+    for D in _QUARTIC_FREE:
+        assert hash(shape_of(D)) == hash(shape_of(D))
+    splits = {split_d(D, r): (D, r) for D in _QUARTIC_FREE for r in _RS}
+    assert len(splits) == len(_QUARTIC_FREE) * len(_RS)
+    for i, D in enumerate(_QUARTIC_FREE):
+        r = _RS[i % len(_RS)]
+        same = split_d(16 * D, r)
+        assert hash(same) == hash(split_d(D, r)) and splits[same] == (D, r), (D, r)
+
+
+def test_shape_is_not_mutated_through_what_it_returns():
+    s = shape_of(-21)
+    s.r_counts[3] = 9
+    s.t_counts[1] = 9
+    assert s.r_counts[3] == 1 and s.t_counts[1] == 0
+    assert s == shape_of(-21) and hash(s) == hash(shape_of(-21))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.p_list = (3,)
 
 
 def test_shape_roundtrip():

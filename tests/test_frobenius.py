@@ -12,6 +12,7 @@ from cmtrace import frobenius, primes
 from cmtrace.arith import reduce_quartic_twist
 from cmtrace.frobenius import (
     _BLOCK,
+    _SYMBOL_PRIME_MAX,
     _chi_table,
     _ap_kernel,
     _ap_kernel_array,
@@ -67,6 +68,23 @@ def test_chi_table_vs_euler():
         chi = _chi_table(p)
         assert chi.dtype == np.int8 and not chi.flags.writeable
         assert chi.tolist() == want, p
+
+
+def test_chi_table_caches_only_up_to_the_symbol_bound():
+    # a table holds p bytes, so a point count past _SYMBOL_PRIME_MAX builds
+    # its own and leaves the cache as it was, small tables still in it;
+    # 99,991 is the largest prime up to the bound, 100,049 the first ≡ 1 (mod 4) past it
+    small = (5, 99_991)
+    assert max(small) <= _SYMBOL_PRIME_MAX < 100_049
+    for p in small:
+        ap_naive(3, p)
+    info = _chi_table.cache_info()
+    assert ap_naive(3, 100_049) == ap_fast(3, 100_049)
+    ap_naive(3, 9_999_991)  # the largest prime below NAIVE_CAP
+    assert _chi_table.cache_info() == info
+    for p in small:
+        _chi_table(p)
+    assert _chi_table.cache_info().hits == info.hits + len(small)
 
 
 def test_ap_binomial_examples():
